@@ -9,8 +9,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import completion, io, linalg
 from .errors import LTensorError
 from .transforms import make_spec
@@ -26,7 +24,7 @@ def _parse_dims(text):
     return dims
 
 
-def _parse_modes(text, order):
+def _parse_modes(text):
     if text == "3..N":
         return None  # make_spec default: all trailing modes
     try:
@@ -37,7 +35,7 @@ def _parse_modes(text, order):
 
 
 def _spec_for(args, shape):
-    return make_spec(args.transform, shape, modes=_parse_modes(args.modes, len(shape)))
+    return make_spec(args.transform, shape, modes=_parse_modes(args.modes))
 
 
 def _add_transform_flags(p):
@@ -132,13 +130,7 @@ def _cmd_tsvd(args):
     a = io.read_container(args.input)
     spec = _spec_for(args, a.shape)
     f = linalg.t_svd(a, spec)
-    u, s, v = f.u, f.s, f.v
-    if args.truncate is not None:
-        k = args.truncate
-        kmax = min(s.shape[0], s.shape[1])
-        if not 1 <= k <= kmax:
-            raise LTensorError(f"truncation rank {k} out of range [1, {kmax}]")
-        u, s, v = u[:, :k], s[:k, :k], v[:, :k]
+    u, s, v = (f.u, f.s, f.v) if args.truncate is None else f.leading(args.truncate)
     io.write_container(args.out_u, u)
     io.write_container(args.out_s, s)
     io.write_container(args.out_v, v)

@@ -168,7 +168,7 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
     for k in range(1, cfg.max_iters + 1):
         mu_k = max(cfg.nu**k * mu0, mu_bar)
         y = x_cur + ((t_prev - 1.0) / t_cur) * (x_cur - x_prev)
-        g = y - (project_omega(y, mask) - p_obs)
+        g = np.where(mask, m, y)
         x_next = svt(g, mu_k, cfg.spec)
 
         num = fro_norm(y - x_next)

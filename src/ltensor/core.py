@@ -117,9 +117,7 @@ def mode_n_product(x, u, n: int) -> np.ndarray:
         raise ShapeError(
             f"matrix with {u.shape[1]} columns cannot act on mode of size {x.shape[n - 1]}"
         )
-    dims = list(x.shape)
-    dims[n - 1] = u.shape[0]
-    return mode_n_fold(u @ mode_n_unfold(x, n), n, dims)
+    return np.moveaxis(np.tensordot(u, x, axes=(1, n - 1)), 0, n - 1)
 
 
 def facewise_product(a, b) -> np.ndarray:

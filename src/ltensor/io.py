@@ -11,6 +11,7 @@ Container layout, all little-endian regardless of host:
 
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -71,7 +72,7 @@ def read_container(path) -> np.ndarray:
     if code not in _DTYPES:
         raise FormatError(f"unsupported dtype code {code} at byte {dims_end}")
     dtype = _DTYPES[code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize  # Python ints: no int64 wrap on huge dims
     payload = data[dims_end + 1 :]
     if len(payload) != expected:
         raise FormatError(

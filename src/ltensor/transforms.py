@@ -16,6 +16,7 @@ unitary-scaled kinds (alpha = prod I_i for fft, 1 for dct).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -70,19 +71,27 @@ _BUILDERS = {"fft": build_fourier_matrix, "dct": build_dct_matrix, "cprod": buil
 
 @dataclass(eq=False)
 class TransformSpec:
-    """The operator L: transformed modes, per-mode matrices, scaling."""
+    """The operator L: transformed modes, per-mode matrices and their inverses, scaling."""
 
     kind: str
     modes: tuple  # 1-based tensor modes, each >= 3, ascending
     sizes: tuple  # mode sizes, parallel to `modes`
-    alpha: float | None
-    unitary_scaled: bool
+    alpha: float | None  # None unless every mode matrix is unitary-scaled
     _matrices: dict = field(default_factory=dict, repr=False)
+    _inverses: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def unitary_scaled(self) -> bool:
+        return self.alpha is not None
 
     def __eq__(self, other):
         if not isinstance(other, TransformSpec):
             return NotImplemented
-        return (self.kind, self.modes, self.sizes) == (other.kind, other.modes, other.sizes)
+        if (self.kind, self.modes, self.sizes) != (other.kind, other.modes, other.sizes):
+            return False
+        return self.kind != "explicit" or all(
+            np.array_equal(self._matrices[m], other._matrices[m]) for m in self.modes
+        )
 
     def mode_matrix(self, mode: int) -> np.ndarray:
         """The explicit transform matrix for one mode (built lazily)."""
@@ -94,10 +103,12 @@ class TransformSpec:
         return self._matrices[mode]
 
     def mode_inverse(self, mode: int) -> np.ndarray:
-        m = self.mode_matrix(mode)
-        if self.kind == "cprod":
-            return build_cproduct_inverse(m.shape[0])
-        return np.linalg.inv(m)
+        """The inverse of :meth:`mode_matrix`, computed once per mode."""
+        if mode not in self._inverses:
+            m = self.mode_matrix(mode)
+            inv = build_cproduct_inverse(m.shape[0]) if self.kind == "cprod" else np.linalg.inv(m)
+            self._inverses[mode] = inv
+        return self._inverses[mode]
 
 
 def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
@@ -119,42 +130,38 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     sizes = tuple(shape[m - 1] for m in modes)
 
     if kind == "fft":
-        return TransformSpec("fft", modes, sizes, float(np.prod(sizes)), True)
+        return TransformSpec("fft", modes, sizes, float(np.prod(sizes)))
     if kind == "dct":
-        return TransformSpec("dct", modes, sizes, 1.0, True)
+        return TransformSpec("dct", modes, sizes, 1.0)
     if kind == "cprod":
-        spec = TransformSpec("cprod", modes, sizes, None, False)
+        spec = TransformSpec("cprod", modes, sizes, None)
         for m in modes:
             _check_invertible(spec.mode_matrix(m), spec.mode_inverse(m))
         return spec
     if kind == "explicit":
         if matrices is None:
             raise TransformError("explicit kind requires per-mode matrices")
-        mats = {int(m): np.asarray(matrices[m]) for m in matrices}
+        mats = {int(m): np.array(matrices[m]) for m in matrices}
         if set(mats) != set(modes):
             raise TransformError(f"matrices given for modes {sorted(mats)}, expected {modes}")
         scales = []
-        unitary = True
+        inverses = {}
         for m in modes:
             mat = mats[m]
             n = shape[m - 1]
             if mat.shape != (n, n):
                 raise TransformError(f"matrix for mode {m} has shape {mat.shape}, expected ({n}, {n})")
             try:
-                mat_inv = np.linalg.inv(mat)
+                inverses[m] = np.linalg.inv(mat)
             except np.linalg.LinAlgError as exc:
                 raise TransformError(f"matrix for mode {m} is singular") from exc
-            _check_invertible(mat, mat_inv)
+            _check_invertible(mat, inverses[m])
             gram = mat @ mat.conj().T
             s = float(np.trace(gram).real) / n
             if np.linalg.norm(gram - s * np.eye(n)) < _UNITARY_TOL * max(1.0, s):
                 scales.append(s)
-            else:
-                unitary = False
-        alpha = float(np.prod(scales)) if unitary else None
-        spec = TransformSpec("explicit", modes, sizes, alpha, unitary)
-        spec._matrices = mats
-        return spec
+        alpha = float(np.prod(scales)) if len(scales) == len(modes) else None
+        return TransformSpec("explicit", modes, sizes, alpha, mats, inverses)
     raise TransformError(f"unknown transform kind {kind!r}")
 
 
@@ -164,13 +171,29 @@ def _check_invertible(m, m_inv):
         raise TransformError("transform matrix is not invertible to working precision")
 
 
-def _check_shape(x, spec):
+# Fast (forward, inverse) pair per kind; other kinds use the mode matrices.
+_FAST = {
+    "fft": (np.fft.fft, np.fft.ifft),
+    "dct": (partial(scipy.fft.dct, type=2, norm="ortho"), partial(scipy.fft.idct, type=2, norm="ortho")),
+}
+
+
+def _mode_loop(x, spec, inverse, explicit=False):
+    out = np.asarray(x)
     for mode, size in zip(spec.modes, spec.sizes):
-        if mode > x.ndim or x.shape[mode - 1] != size:
+        if mode > out.ndim or out.shape[mode - 1] != size:
             raise TransformError(
-                f"tensor of shape {x.shape} does not match spec modes {spec.modes} "
+                f"tensor of shape {out.shape} does not match spec modes {spec.modes} "
                 f"with sizes {spec.sizes}"
             )
+    fast = None if explicit else _FAST.get(spec.kind)
+    for mode in reversed(spec.modes) if inverse else spec.modes:
+        if fast is not None:
+            out = fast[inverse](out, axis=mode - 1)
+        else:
+            mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
+            out = mode_n_product(out, mat, mode)
+    return out
 
 
 def apply_l(x, spec: TransformSpec, explicit: bool = False) -> np.ndarray:
@@ -179,41 +202,17 @@ def apply_l(x, spec: TransformSpec, explicit: bool = False) -> np.ndarray:
     Fast transforms are used for the fft/dct kinds unless ``explicit`` forces
     the matrix path.
     """
-    x = np.asarray(x)
-    _check_shape(x, spec)
-    out = x
-    for mode in spec.modes:
-        if spec.kind == "fft" and not explicit:
-            out = np.fft.fft(out, axis=mode - 1)
-        elif spec.kind == "dct" and not explicit:
-            out = scipy.fft.dct(out, type=2, axis=mode - 1, norm="ortho")
-        else:
-            out = mode_n_product(out, spec.mode_matrix(mode), mode)
-    return out
+    return _mode_loop(x, spec, inverse=False, explicit=explicit)
 
 
-def apply_l_inv(xhat, spec: TransformSpec, explicit: bool = False, assume_real: bool = False) -> np.ndarray:
+def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False) -> np.ndarray:
     """L^{-1}(xhat): inverse mode products in reverse mode order.
 
     With ``assume_real`` the source is known real: the imaginary residual must
     stay below 1e-9 relative and is discarded; larger residuals signal a
     corrupted transform-domain tensor.
     """
-    xhat = np.asarray(xhat)
-    _check_shape(xhat, spec)
-    out = xhat
-    for mode in reversed(spec.modes):
-        if spec.kind == "fft" and not explicit:
-            out = np.fft.ifft(out, axis=mode - 1)
-        elif spec.kind == "dct" and not explicit:
-            if np.iscomplexobj(out):
-                out = scipy.fft.idct(out.real, type=2, axis=mode - 1, norm="ortho") + 1j * scipy.fft.idct(
-                    out.imag, type=2, axis=mode - 1, norm="ortho"
-                )
-            else:
-                out = scipy.fft.idct(out, type=2, axis=mode - 1, norm="ortho")
-        else:
-            out = mode_n_product(out, spec.mode_inverse(mode), mode)
+    out = _mode_loop(xhat, spec, inverse=True)
     if assume_real and np.iscomplexobj(out):
         norm = np.linalg.norm(out.ravel())
         imag = np.linalg.norm(out.imag.ravel())

@@ -67,6 +67,15 @@ class TestContainer:
         with pytest.raises(FormatError, match="order 9"):
             read_container(path)
 
+    def test_huge_dims_do_not_wrap_the_size_check(self, tmp_path, capsys):
+        # 2^32 * 2^32 entries wrap an int64 size to 0, which an empty payload would match
+        path = tmp_path / "huge.tlt"
+        path.write_bytes(b"TLT1" + bytes([2]) + np.array([2**32, 2**32], dtype="<u8").tobytes() + bytes([0]))
+        with pytest.raises(FormatError, match="payload length 0"):
+            read_container(path)
+        assert main(["metrics", "--a", str(path), "--b", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_order_guard_on_write(self, tmp_path):
         with pytest.raises(FormatError):
             write_container(tmp_path / "x.tlt", np.ones(3))
@@ -179,6 +188,17 @@ class TestCli:
         spec = make_spec("fft", a.shape)
         recon = l_product(l_product(u, s, spec), l_transpose(v, spec), spec)
         np.testing.assert_allclose(recon, a, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_tsvd_truncate_out_of_range_exit_2(self, tmp_path, capsys, rng, k):
+        pi = tmp_path / "a.tlt"
+        write_container(pi, rng.standard_normal((3, 3, 2)))
+        code = main(["tsvd", "--input", str(pi), "--transform", "dct", "--truncate", str(k),
+                     "--out-u", str(tmp_path / "u.tlt"), "--out-s", str(tmp_path / "s.tlt"),
+                     "--out-v", str(tmp_path / "v.tlt")])
+        assert code == 2
+        assert f"truncation rank {k} out of range [1, 3]" in capsys.readouterr().err
+        assert not (tmp_path / "u.tlt").exists()
 
     def test_complete_end_to_end(self, tmp_path, capsys, rng):
         from ltensor.linalg import l_product

@@ -82,6 +82,14 @@ class TestApplyL:
         back = apply_l_inv(apply_l(x, spec), spec, assume_real=True)
         np.testing.assert_allclose(back, x, rtol=1e-10, atol=1e-12)
 
+    def test_dct_roundtrip_complex(self, rng):
+        x = rng.standard_normal((8, 9, 5)) + 1j * rng.standard_normal((8, 9, 5))
+        spec = make_spec("dct", x.shape)
+        np.testing.assert_allclose(apply_l_inv(apply_l(x, spec), spec), x, rtol=1e-12, atol=1e-12)
+        # the inverse acts on real and imaginary parts alike
+        split = apply_l_inv(x.real, spec) + 1j * apply_l_inv(x.imag, spec)
+        np.testing.assert_allclose(apply_l_inv(x, spec), split, rtol=1e-14, atol=1e-14)
+
     def test_inverse_fourier_constant_tube(self):
         spec = make_spec("fft", (1, 1, 6))
         out = apply_l_inv(np.ones((1, 1, 6), dtype=complex), spec, assume_real=True)
@@ -173,6 +181,36 @@ class TestSpecConstruction:
         assert np.isclose(spec.alpha, 4.0)
         general = make_spec("explicit", (2, 2, 3), matrices={3: np.eye(3) + np.diag([0.5, 0.5], 1)})
         assert not general.unitary_scaled
+
+    def test_explicit_specs_compare_their_matrices(self):
+        eye = make_spec("explicit", (2, 2, 3), matrices={3: np.eye(3)})
+        double = make_spec("explicit", (2, 2, 3), matrices={3: 2.0 * np.eye(3)})
+        assert (eye.alpha, double.alpha) == (1.0, 4.0)
+        assert eye != double
+        assert eye == make_spec("explicit", (2, 2, 3), matrices={3: np.eye(3)})
+        assert make_spec("dct", (2, 2, 3)) == make_spec("dct", (2, 2, 3))
+
+    def test_explicit_spec_keeps_its_matrix(self):
+        mat = np.eye(3) + np.diag([0.5, 0.5], 1)
+        spec = make_spec("explicit", (2, 2, 3), matrices={3: mat})
+        mat[0, 0] = 7.0  # the spec keeps a copy, so its cached inverse still matches
+        assert spec.mode_matrix(3)[0, 0] == 1.0
+
+    @pytest.mark.parametrize("kind", ["explicit", "cprod"])
+    def test_mode_inverse_is_computed_once(self, kind, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        matrices = {3: q, 4: np.eye(3) + np.diag([0.5, 0.5], 1)} if kind == "explicit" else None
+        spec = make_spec(kind, (2, 2, 4, 3), matrices=matrices)
+        for mode in spec.modes:
+            inv = spec.mode_inverse(mode)
+            assert spec.mode_inverse(mode) is inv
+            np.testing.assert_allclose(spec.mode_matrix(mode) @ inv, np.eye(inv.shape[0]), atol=1e-12)
+
+    def test_unitary_scaled_follows_alpha(self):
+        general = make_spec("explicit", (2, 2, 3), matrices={3: np.eye(3) + np.diag([0.5, 0.5], 1)})
+        assert general.alpha is None and not general.unitary_scaled
+        with pytest.raises(AttributeError):
+            general.unitary_scaled = True
 
     def test_explicit_requires_invertible(self):
         with pytest.raises(TransformError):
