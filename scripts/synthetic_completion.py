@@ -23,7 +23,7 @@ def main():
     ap.add_argument("--transform", choices=("fft", "dct"), default="fft")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--max-iters", type=int, default=300)
-    ap.add_argument("--tol", type=float, default=1e-4)
+    ap.add_argument("--tol", type=float, default=CompletionConfig.tol)
     ap.add_argument("--trace-csv", default=None)
     args = ap.parse_args()
 

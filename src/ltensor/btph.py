@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from .core import as_rep_stack, num_rep
+from .core import as_rep_stack, num_rep, product_operands
 from .errors import OracleScaleError, ShapeError, StructureError
 from .transforms import TransformSpec, apply_l, build_dct_matrix
 
@@ -139,11 +139,6 @@ def check_diagonalization(x, spec: TransformSpec) -> float:
 
 def cproduct_via_btph(a, b) -> np.ndarray:
     """Generalized c-product computed as ten(btph(a) btph(b))."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"trailing dims differ: {a.shape[2:]} vs {b.shape[2:]}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dims differ: {a.shape[1]} vs {b.shape[0]}")
+    a, b = product_operands(a, b)
     prod = btph(a).matrix @ btph(b).matrix
     return ten(prod, (a.shape[0], b.shape[1]) + a.shape[2:])

@@ -6,8 +6,11 @@ Exit codes: 0 success, 1 usage error, 2 numeric or format error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
+
+import numpy as np
 
 from . import completion, io, linalg
 from .errors import LTensorError
@@ -35,12 +38,14 @@ def _parse_modes(text):
 
 
 def _spec_for(args, shape):
-    return make_spec(args.transform, shape, modes=_parse_modes(args.modes))
+    return make_spec(args.transform, shape, modes=args.modes)
 
 
 def _add_transform_flags(p):
     p.add_argument("--transform", choices=("fft", "dct", "cprod"), required=True)
-    p.add_argument("--modes", default="3..N", help="'3..N' (default) or comma list like '3'")
+    p.add_argument(
+        "--modes", type=_parse_modes, default="3..N", help="'3..N' (default) or comma list like '3'"
+    )
 
 
 def build_parser():
@@ -59,16 +64,18 @@ def build_parser():
     comp.add_argument("--input", required=True)
     comp.add_argument("--mask", required=True)
     _add_transform_flags(comp)
-    comp.add_argument("--nu", type=float, default=0.9)
-    comp.add_argument("--mu0", type=float, default=None)
-    comp.add_argument("--mu-bar-ratio", type=float, default=1e-4)
-    comp.add_argument("--tol", type=float, default=1e-4)
-    comp.add_argument("--max-iters", type=int, default=100)
     comp.add_argument("--ground-truth", default=None)
     comp.add_argument("--trace-csv", default=None)
     comp.add_argument("--out", required=True)
-    comp.add_argument("--reimpose-observed", action="store_true")
-    comp.add_argument("--rse-denominator", choices=("obtained", "original"), default="obtained")
+    # Only the solver flags given reach CompletionConfig, which owns the defaults.
+    solver = comp.add_argument_group("solver options", argument_default=argparse.SUPPRESS)
+    solver.add_argument("--nu", type=float)
+    solver.add_argument("--mu0", type=float)
+    solver.add_argument("--mu-bar-ratio", type=float)
+    solver.add_argument("--tol", type=float)
+    solver.add_argument("--max-iters", type=int)
+    solver.add_argument("--reimpose-observed", action="store_true")
+    solver.add_argument("--rse-denominator", choices=("obtained", "original"))
 
     tsvd = sub.add_parser("tsvd", help="compute the *_L-SVD factors")
     tsvd.add_argument("--input", required=True)
@@ -103,17 +110,9 @@ def _cmd_mask(args):
 def _cmd_complete(args):
     m = io.read_container(args.input)
     mask = io.read_container(args.mask)
-    spec = _spec_for(args, m.shape)
-    cfg = completion.CompletionConfig(
-        spec=spec,
-        nu=args.nu,
-        mu0=args.mu0,
-        mu_bar_ratio=args.mu_bar_ratio,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        reimpose_observed=args.reimpose_observed,
-        rse_denominator=args.rse_denominator,
-    )
+    solver_fields = {f.name for f in dataclasses.fields(completion.CompletionConfig)}
+    given = {k: v for k, v in vars(args).items() if k in solver_fields}
+    cfg = completion.CompletionConfig(spec=_spec_for(args, m.shape), **given)
     truth = io.read_container(args.ground_truth) if args.ground_truth else None
     x, trace = completion.pga_complete(m, mask, cfg, ground_truth=truth)
     io.write_container(args.out, x)
@@ -175,7 +174,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         _COMMANDS[args.command](args)
-    except (LTensorError, OSError) as exc:
+    except (LTensorError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import fro_norm
-from .errors import ParameterError, ShapeError, UnsupportedSpecError
+from .core import fro_norm, same_shape
+from .errors import ParameterError, ShapeError
 from .linalg import svt
 from .transforms import TransformSpec
 
@@ -48,10 +48,7 @@ def rse(obtained, original, denominator: str = "obtained") -> float:
     The denominator is the obtained tensor by convention here; pass
     ``denominator='original'`` for the more common normalization.
     """
-    obtained = np.asarray(obtained)
-    original = np.asarray(original)
-    if obtained.shape != original.shape:
-        raise ShapeError(f"dimension mismatch: {obtained.shape} vs {original.shape}")
+    obtained, original = same_shape(obtained, original)
     if denominator not in ("obtained", "original"):
         raise ParameterError(f"unknown RSE denominator {denominator!r}")
     den = fro_norm(obtained if denominator == "obtained" else original) ** 2
@@ -65,10 +62,7 @@ def psnr(obtained, original) -> float:
 
     Identical tensors give +inf.
     """
-    obtained = np.asarray(obtained)
-    original = np.asarray(original)
-    if obtained.shape != original.shape:
-        raise ShapeError(f"dimension mismatch: {obtained.shape} vs {original.shape}")
+    obtained, original = same_shape(obtained, original)
     err = fro_norm(obtained - original) ** 2
     if err == 0.0:
         return math.inf
@@ -80,7 +74,12 @@ def psnr(obtained, original) -> float:
 
 @dataclass
 class CompletionConfig:
-    """Solver parameters; mu0 defaults to nu * ||M||_F at solve time."""
+    """Solver parameters, and the one place their defaults are set.
+
+    mu0 defaults to nu * ||M||_F at solve time.  That norm runs over every
+    entry of M, unobserved ones included, so the result depends on them;
+    :func:`pga_complete` therefore rejects M holding NaN or inf anywhere.
+    """
 
     spec: TransformSpec
     nu: float = 0.9
@@ -104,7 +103,9 @@ class CompletionConfig:
 
 @dataclass
 class IterationRecord:
-    k: int
+    """One solver iteration; each field is one column of the trace CSV."""
+
+    k: int = field(metadata={"column": "iter"})
     mu: float
     t: float
     rel_change: float
@@ -122,20 +123,13 @@ class CompletionTrace:
         return len(self.records)
 
     def write_csv(self, path):
+        columns = fields(IterationRecord)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iter", "mu", "t", "rel_change", "rse", "psnr"])
+            writer.writerow([c.metadata.get("column", c.name) for c in columns])
             for r in self.records:
-                writer.writerow(
-                    [
-                        r.k,
-                        repr(r.mu),
-                        repr(r.t),
-                        repr(r.rel_change),
-                        "" if r.rse is None else repr(r.rse),
-                        "" if r.psnr is None else repr(r.psnr),
-                    ]
-                )
+                values = (getattr(r, c.name) for c in columns)
+                writer.writerow(["" if v is None else repr(v) for v in values])
 
 
 def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
@@ -147,16 +141,15 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
     when ||Y^k - X^{k+1}||_F / ||X^{k+1}||_F <= tol or at max_iters.
     """
     cfg.validate()
-    if not cfg.spec.unitary_scaled:
-        raise UnsupportedSpecError(
-            "completion uses SVT, which requires a unitary-scaled transform"
-        )
-    m = np.asarray(m, dtype=float)
+    cfg.spec.require_unitary("pga_complete")
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise ParameterError(f"completion needs real data, got {m.dtype}")
+    m = m.astype(float, copy=False)
+    if not np.isfinite(m).all():
+        raise ParameterError("data holds NaN or inf entries, observed or not")
     mask = np.asarray(mask, dtype=bool)
-    if m.shape != mask.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match data shape {m.shape}")
-
-    p_obs = project_omega(m, mask)
+    zero_observation = fro_norm(project_omega(m, mask)) == 0.0  # also checks the mask shape
     mu0 = cfg.nu * fro_norm(m) if cfg.mu0 is None else float(cfg.mu0)
     mu_bar = cfg.mu_bar_ratio * mu0
 
@@ -175,7 +168,7 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
         den = fro_norm(x_next)
         if den > 0.0:
             rel = num / den
-        elif fro_norm(p_obs) == 0.0:
+        elif zero_observation:
             rel = 0.0  # zero observation: zeros are the exact solution
         else:
             rel = math.inf  # shrinkage still zeroes everything; keep iterating

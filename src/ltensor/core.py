@@ -23,12 +23,27 @@ def _as_tensor(x) -> np.ndarray:
     return x
 
 
-def inner_product(a, b):
-    """<a, b>, conjugate-linear in the first argument for complex tensors."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+def same_shape(a, b):
+    """a and b as arrays; ShapeError unless their dims agree."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def product_operands(a, b):
+    """a and b as tensors whose slices multiply: a^p b^p for every p."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape[2:] != b.shape[2:]:
+        raise ShapeError(f"trailing dims differ: {a.shape[2:]} vs {b.shape[2:]}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"inner dims differ: {a.shape[1]} vs {b.shape[0]}")
+    return a, b
+
+
+def inner_product(a, b):
+    """<a, b>, conjugate-linear in the first argument for complex tensors."""
+    a, b = same_shape(_as_tensor(a), _as_tensor(b))
     out = np.vdot(a, b)
     if np.isrealobj(a) and np.isrealobj(b):
         return float(out.real)
@@ -122,11 +137,6 @@ def mode_n_product(x, u, n: int) -> np.ndarray:
 
 def facewise_product(a, b) -> np.ndarray:
     """Slice-wise matrix product over all P representative matrices."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"trailing dims differ: {a.shape[2:]} vs {b.shape[2:]}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dims differ: {a.shape[1]} vs {b.shape[0]}")
+    a, b = product_operands(a, b)
     prod = np.matmul(as_rep_stack(a), as_rep_stack(b))
     return from_rep_stack(prod, a.shape[2:])

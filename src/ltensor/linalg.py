@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_rep_stack, fro_norm, from_rep_stack, num_rep
-from .errors import ParameterError, ShapeError, UnsupportedSpecError
+from .core import as_rep_stack, fro_norm, from_rep_stack, num_rep, product_operands
+from .errors import ParameterError, ShapeError
 from .transforms import TransformSpec, apply_l, apply_l_inv
 
 DEFAULT_RANK_THRESHOLD = 1e-10
@@ -44,13 +44,7 @@ def _slicewise(fn, spec, *tensors):
 
 def l_product(a, b, spec: TransformSpec) -> np.ndarray:
     """a *_L b = L^{-1}(L(a) facewise L(b))."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"trailing dims differ: {a.shape[2:]} vs {b.shape[2:]}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dims differ: {a.shape[1]} vs {b.shape[0]}")
-    return _slicewise(np.matmul, spec, a, b)
+    return _slicewise(np.matmul, spec, *product_operands(a, b))
 
 
 def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
@@ -75,12 +69,13 @@ def is_orthogonal(q, spec: TransformSpec, tol: float = 1e-10) -> bool:
     q = np.asarray(q)
     if q.shape[0] != q.shape[1]:
         raise ShapeError(f"orthogonality needs square first two dims, got {q.shape[:2]}")
-    eye = identity_tensor(q.shape[0], q.shape[2:], spec)
-    qt = l_transpose(q, spec)
-    return (
-        fro_norm(l_product(q, qt, spec) - eye) < tol
-        and fro_norm(l_product(qt, q, spec) - eye) < tol
-    )
+    eye = np.eye(q.shape[0])
+
+    def residuals(hat):
+        hat_t = _conj_transpose(hat)
+        return np.matmul(hat, hat_t) - eye, np.matmul(hat_t, hat) - eye
+
+    return all(fro_norm(r) < tol for r in _slicewise(residuals, spec, q))
 
 
 @dataclass
@@ -106,6 +101,11 @@ class RankReport:
     tubal: int
     multirank: np.ndarray  # rho_p for p = 1..P
     average: float
+
+
+def _spectrum(a, spec):
+    """Singular values of every L-domain slice, (P, min(I_1, I_2)), non-increasing per slice."""
+    return np.linalg.svd(_hat_stack(np.asarray(a), spec), compute_uv=False)
 
 
 def _svd_factors(hat):
@@ -138,8 +138,7 @@ def ranks(a, spec: TransformSpec, threshold: float = DEFAULT_RANK_THRESHOLD) -> 
     """Tubal rank, multirank vector and average rank at a relative threshold."""
     if threshold < 0:
         raise ParameterError(f"threshold must be >= 0, got {threshold}")
-    hat = _hat_stack(np.asarray(a), spec)
-    sv = np.linalg.svd(hat, compute_uv=False)  # (P, min(I1, I2)), non-increasing per slice
+    sv = _spectrum(a, spec)
     smax = float(sv.max(initial=0.0))
     if smax == 0.0:
         return RankReport(tubal=0, multirank=np.zeros(sv.shape[0], dtype=int), average=0.0)
@@ -149,25 +148,16 @@ def ranks(a, spec: TransformSpec, threshold: float = DEFAULT_RANK_THRESHOLD) -> 
     return RankReport(tubal=tubal, multirank=multirank, average=float(multirank.mean()))
 
 
-def _require_unitary(spec, what):
-    if not spec.unitary_scaled:
-        raise UnsupportedSpecError(
-            f"{what} requires a unitary-scaled transform; the {spec.kind!r} kind is not"
-        )
-
-
 def spectral_norm(a, spec: TransformSpec) -> float:
     """Largest transform-domain singular value over all slices."""
-    _require_unitary(spec, "spectral_norm")
-    sv = np.linalg.svd(_hat_stack(np.asarray(a), spec), compute_uv=False)
-    return float(sv.max(initial=0.0))
+    spec.require_unitary("spectral_norm")
+    return float(_spectrum(a, spec).max(initial=0.0))
 
 
 def nuclear_norm(a, spec: TransformSpec) -> float:
     """alpha^{-1} * sum of all transform-domain singular values."""
-    _require_unitary(spec, "nuclear_norm")
-    sv = np.linalg.svd(_hat_stack(np.asarray(a), spec), compute_uv=False)
-    return float(sv.sum() / spec.alpha)
+    spec.require_unitary("nuclear_norm")
+    return float(_spectrum(a, spec).sum() / spec.alpha)
 
 
 def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
@@ -177,7 +167,7 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     """
     if tau < 0:
         raise ParameterError(f"tau must be >= 0, got {tau}")
-    _require_unitary(spec, "svt")
+    spec.require_unitary("svt")
 
     def shrink(hat):
         u, sv, vh = np.linalg.svd(hat, full_matrices=False)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft
 
 from .core import mode_n_product
-from .errors import ParameterError, NumericConsistencyError, TransformError
+from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
 _UNITARY_TOL = 1e-10
@@ -84,6 +84,13 @@ class TransformSpec:
     def unitary_scaled(self) -> bool:
         return self.alpha is not None
 
+    def require_unitary(self, what: str) -> None:
+        """Raise UnsupportedSpecError unless ``what`` may run on this spec."""
+        if not self.unitary_scaled:
+            raise UnsupportedSpecError(
+                f"{what} requires a unitary-scaled transform; the {self.kind!r} kind is not"
+            )
+
     def __eq__(self, other):
         if not isinstance(other, TransformSpec):
             return NotImplemented
@@ -92,6 +99,9 @@ class TransformSpec:
         return self.kind != "explicit" or all(
             np.array_equal(self._matrices[m], other._matrices[m]) for m in self.modes
         )
+
+    def __hash__(self):
+        return hash((self.kind, self.modes, self.sizes))  # equal specs agree on these
 
     def mode_matrix(self, mode: int) -> np.ndarray:
         """The explicit transform matrix for one mode (built lazily)."""

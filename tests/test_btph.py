@@ -111,6 +111,14 @@ class TestDiagonalization:
             spec = make_spec("cprod", shape)
             assert check_diagonalization(x, spec) < 1e-10 * (1 + fro_norm(x))
 
+    @pytest.mark.parametrize(
+        "kind, modes, message", [("dct", None, "cprod kind"), ("cprod", (3,), "all trailing modes")]
+    )
+    def test_rejects_other_specs(self, kind, modes, message):
+        x = np.ones((2, 2, 2, 2))
+        with pytest.raises(StructureError, match=message):
+            check_diagonalization(x, make_spec(kind, x.shape, modes=modes))
+
 
 class TestCproductViaBtph:
     def test_worked_tubes(self):

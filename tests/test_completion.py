@@ -243,6 +243,23 @@ class TestPgaComplete:
         np.testing.assert_allclose(out, expected, atol=1e-12)
         assert trace.records[0].mu == cfg.nu * mu0
 
+    @pytest.mark.parametrize(
+        "index, value, observed, message",
+        [
+            ((1, 2, 0), np.nan, False, "NaN or inf"),
+            ((3, 4, 2), np.inf, True, "NaN or inf"),
+            ((0, 0, 1), 1j, True, "real data"),
+        ],
+    )
+    def test_rejects_non_finite_or_complex_data(self, index, value, observed, message):
+        m, spec = low_rank((4, 5, 3), 1, 3)
+        m = m.astype(complex) if np.iscomplexobj(value) else m
+        m[index] = value
+        mask = sample_mask(m.shape, 0.5, 1)
+        mask[index] = observed
+        with pytest.raises(ParameterError, match=message):
+            pga_complete(m, mask, CompletionConfig(spec=spec, max_iters=3))
+
     def test_shape_mismatch(self):
         spec = make_spec("fft", (2, 2, 2))
         with pytest.raises(ShapeError):

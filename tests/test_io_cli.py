@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import ltensor.completion
 from ltensor.cli import main
-from ltensor.completion import sample_mask
+from ltensor.completion import CompletionConfig, CompletionTrace, IterationRecord, sample_mask
 from ltensor.errors import FormatError
 from ltensor.io import export_ppm_dir, import_ppm_dir, read_container, write_container
 
@@ -76,6 +77,21 @@ class TestContainer:
         assert main(["metrics", "--a", str(path), "--b", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"TLT1", "missing order byte"),
+            (b"TLT1" + bytes([3]) + bytes(10), "truncated header"),
+            (b"TLT1" + bytes([2]) + np.array([1, 1], dtype="<u8").tobytes() + bytes([7, 0]),
+             "unsupported dtype code 7 at byte 21"),
+        ],
+    )
+    def test_malformed_header(self, tmp_path, data, message):
+        path = tmp_path / "x.tlt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            read_container(path)
+
     def test_order_guard_on_write(self, tmp_path):
         with pytest.raises(FormatError):
             write_container(tmp_path / "x.tlt", np.ones(3))
@@ -121,6 +137,20 @@ class TestPpm:
         frame_dir.mkdir()
         (frame_dir / "f.ppm").write_bytes(b"P3\n1 1\n255\n0 0 0\n")
         with pytest.raises(FormatError):
+            import_ppm_dir(frame_dir)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P6\n1 1\n65535\n" + bytes(6), "only maxval 255 supported, got 65535"),
+            (b"P6\n2 2\n255\n" + bytes(11), "expected 12 pixel bytes, got 11"),
+        ],
+    )
+    def test_rejects_unsupported_frames(self, tmp_path, data, message):
+        frame_dir = tmp_path / "vid"
+        frame_dir.mkdir()
+        (frame_dir / "f.ppm").write_bytes(data)
+        with pytest.raises(FormatError, match=message):
             import_ppm_dir(frame_dir)
 
     def test_empty_dir(self, tmp_path):
@@ -256,3 +286,93 @@ class TestCli:
         np.testing.assert_allclose(
             read_container(po), svt(a, 0.5, make_spec("dct", a.shape)), atol=1e-12
         )
+
+    def test_modes_list_transforms_only_those_modes(self, tmp_path, rng):
+        from ltensor.linalg import l_product
+        from ltensor.transforms import make_spec
+
+        a = rng.standard_normal((2, 3, 2, 3))
+        b = rng.standard_normal((3, 2, 2, 3))
+        pa, pb, po = (tmp_path / n for n in ("a.tlt", "b.tlt", "out.tlt"))
+        write_container(pa, a)
+        write_container(pb, b)
+        assert main(["product", "--a", str(pa), "--b", str(pb), "--transform", "fft",
+                     "--modes", "3", "--out", str(po)]) == 0
+        spec = make_spec("fft", a.shape, modes=(3,))
+        np.testing.assert_allclose(read_container(po), l_product(a, b, spec), atol=1e-12)
+        assert not np.allclose(read_container(po), l_product(a, b, make_spec("fft", a.shape)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["svt", "--input", "a.tlt", "--tau", "1", "--transform", "dct", "--modes", "3;4", "--out", "o.tlt"],
+            ["mask", "gen", "--dims", "4,x,3", "--sr", "0.5", "--seed", "1", "--out", "m.tlt"],
+            ["mask", "gen", "--dims", "4,0,3", "--sr", "0.5", "--seed", "1", "--out", "m.tlt"],
+        ],
+    )
+    def test_bad_modes_or_dims_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_container("a.tlt", np.ones((2, 2, 3)))
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tlt"]
+
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [
+            ("tsvd", ["--out-u", "u.tlt", "--out-s", "s.tlt", "--out-v", "v.tlt"]),
+            ("svt", ["--tau", "1", "--out", "o.tlt"]),
+        ],
+    )
+    def test_svd_failure_exit_2(self, tmp_path, capsys, monkeypatch, command, outputs):
+        monkeypatch.chdir(tmp_path)
+        a = np.ones((3, 3, 2))
+        a[1, 1, 0] = np.nan
+        write_container("a.tlt", a)
+        assert main([command, "--input", "a.tlt", "--transform", "dct"] + outputs) == 2
+        err = capsys.readouterr().err
+        assert "SVD did not converge" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [np.nan, 1j])
+    def test_complete_rejects_bad_data_exit_2(self, tmp_path, capsys, bad):
+        m = np.ones((4, 5, 3), dtype=complex if np.iscomplexobj(bad) else float)
+        m[1, 2, 0] = bad
+        pm, pk = tmp_path / "m.tlt", tmp_path / "mask.tlt"
+        write_container(pm, m)
+        write_container(pk, sample_mask(m.shape, 0.5, 1))
+        code = main(["complete", "--input", str(pm), "--mask", str(pk), "--transform", "fft",
+                     "--max-iters", "3", "--out", str(tmp_path / "o.tlt")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, changed",
+        [
+            ([], {}),
+            (["--nu", "0.5"], {"nu": 0.5}),
+            (["--mu0", "2.5"], {"mu0": 2.5}),
+            (["--mu-bar-ratio", "1e-3"], {"mu_bar_ratio": 1e-3}),
+            (["--tol", "1e-6"], {"tol": 1e-6}),
+            (["--max-iters", "7"], {"max_iters": 7}),
+            (["--reimpose-observed"], {"reimpose_observed": True}),
+            (["--rse-denominator", "original"], {"rse_denominator": "original"}),
+        ],
+    )
+    def test_complete_flags_build_the_config(self, tmp_path, monkeypatch, flags, changed):
+        from ltensor.transforms import make_spec
+
+        seen = []
+
+        def fake_solver(m, mask, cfg, ground_truth=None):
+            seen.append(cfg)
+            return m, CompletionTrace(records=[IterationRecord(k=1, mu=1.0, t=1.0, rel_change=0.0)])
+
+        monkeypatch.setattr(ltensor.completion, "pga_complete", fake_solver)
+        pm, pk = tmp_path / "m.tlt", tmp_path / "mask.tlt"
+        write_container(pm, np.ones((2, 2, 3)))
+        write_container(pk, sample_mask((2, 2, 3), 0.5, 1))
+        assert main(["complete", "--input", str(pm), "--mask", str(pk), "--transform", "dct",
+                     "--out", str(tmp_path / "o.tlt")] + flags) == 0
+        defaults = dict(nu=0.9, mu0=None, mu_bar_ratio=1e-4, tol=1e-4, max_iters=100,
+                        reimpose_observed=False, rse_denominator="obtained")
+        assert seen == [CompletionConfig(spec=make_spec("dct", (2, 2, 3)), **{**defaults, **changed})]

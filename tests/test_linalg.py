@@ -157,6 +157,26 @@ class TestOrthogonality:
         with pytest.raises(ShapeError):
             is_orthogonal(np.ones((2, 3, 2)), make_spec("fft", (2, 3, 2)))
 
+    @pytest.mark.parametrize("kind", ["fft", "cprod"])
+    def test_three_transforms_per_call(self, kind, rng, monkeypatch):
+        import ltensor.linalg as linalg
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("apply_l", "apply_l_inv"):
+            monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+        q = t_svd(rng.standard_normal((3, 3, 2, 2)), make_spec(kind, (3, 3, 2, 2))).u
+        calls.clear()
+        assert is_orthogonal(q, make_spec(kind, q.shape), tol=1e-9)
+        assert sorted(calls) == ["apply_l", "apply_l_inv", "apply_l_inv"]
+
 
 class TestTSvd:
     def test_zeros(self):
@@ -242,6 +262,10 @@ class TestRanks:
         spec = make_spec("dct", (3, 3, 2, 2))
         r = ranks(identity_tensor(3, (2, 2), spec), spec)
         assert r.tubal == 3 and r.average == 3.0
+
+    def test_negative_threshold(self):
+        with pytest.raises(ParameterError, match="threshold must be >= 0"):
+            ranks(np.ones((2, 2, 2)), make_spec("fft", (2, 2, 2)), threshold=-1e-3)
 
     def test_constructed_rank_two(self, rng):
         spec = make_spec("fft", (4, 3, 2, 2))

@@ -220,6 +220,34 @@ class TestSpecConstruction:
         with pytest.raises(TransformError):
             make_spec("wavelet", (2, 2, 2))
 
+    @pytest.mark.parametrize(
+        "kind, shape, modes, matrices, message",
+        [
+            ("fft", (2, 2), None, None, "order >= 3"),
+            ("fft", (2, 2, 3), (2,), None, r"mode 2 out of range \[3, 3\]"),
+            ("dct", (2, 2, 3), (4,), None, r"mode 4 out of range \[3, 3\]"),
+            ("explicit", (2, 2, 3), None, None, "requires per-mode matrices"),
+            ("explicit", (2, 2, 3, 2), None, {3: np.eye(3)}, r"modes \[3\], expected \(3, 4\)"),
+            ("explicit", (2, 2, 3), None, {3: np.eye(2)}, r"shape \(2, 2\), expected \(3, 3\)"),
+        ],
+    )
+    def test_make_spec_rejects(self, kind, shape, modes, matrices, message):
+        with pytest.raises(TransformError, match=message):
+            make_spec(kind, shape, modes=modes, matrices=matrices)
+
+    def test_mode_matrix_of_an_untransformed_mode(self):
+        spec = make_spec("fft", (2, 2, 3, 4), modes=(3,))
+        with pytest.raises(TransformError, match="mode 4 is not transformed"):
+            spec.mode_matrix(4)
+
+    def test_equal_specs_hash_equal(self):
+        a, b = make_spec("dct", (2, 2, 3, 4)), make_spec("dct", (5, 1, 3, 4))
+        assert a == b and hash(a) == hash(b)
+        cache = {a: "plan"}
+        assert cache[b] == "plan" and make_spec("fft", (2, 2, 3, 4)) not in cache
+        eye = make_spec("explicit", (2, 2, 3), matrices={3: np.eye(3)})
+        assert hash(eye) == hash(make_spec("explicit", (2, 2, 3), matrices={3: np.eye(3)}))
+
     def test_mode_matrix_mode_product_agreement(self, rng):
         x = rng.standard_normal((2, 2, 3, 2))
         spec = make_spec("cprod", x.shape)
