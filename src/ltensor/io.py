@@ -5,7 +5,7 @@ Container layout, all little-endian regardless of host:
     magic   4 bytes  b"TLT1"
     order   uint8    N, 2 <= N <= 8
     dims    N x uint64
-    dtype   uint8    0 = float64, 1 = float32, 2 = complex128, 3 = uint8 bool
+    dtype   uint8    0 = float64 (integer tensors too), 1 = float32, 2 = complex128, 3 = bool byte
     payload entries in generalized column-major (Fortran) order
 """
 
@@ -28,8 +28,13 @@ _DTYPES = {
 }
 
 
+def _too_large(dims, itemsize) -> bool:
+    """Whether numpy cannot shape ``dims``: its nonzero dims times ``itemsize`` overflow intp."""
+    return math.prod(d for d in dims if d) * itemsize > np.iinfo(np.intp).max
+
+
 def _dtype_code(x: np.ndarray) -> int:
-    if x.dtype == np.bool_ or x.dtype == np.uint8:
+    if x.dtype == np.bool_:
         return 3
     if x.dtype == np.float32:
         return 1
@@ -78,6 +83,8 @@ def read_container(path) -> np.ndarray:
         raise FormatError(
             f"payload length {len(payload)} bytes at offset {dims_end + 1}, expected {expected}"
         )
+    if _too_large(dims, dtype.itemsize):
+        raise FormatError(f"dims {dims} at byte 5 are too large for an array")
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
     if code == 3:
         return arr.astype(bool)
@@ -101,6 +108,8 @@ def _read_ppm(path) -> np.ndarray:
         raise FormatError(
             f"{path}: expected {width * height * 3} pixel bytes, got {pixels.size}"
         )
+    if _too_large((height, width, 3), 1):
+        raise FormatError(f"{path}: frame of {width} x {height} pixels is too large for an array")
     return pixels.reshape(height, width, 3)
 
 

@@ -20,10 +20,6 @@ from .transforms import TransformSpec, apply_l, apply_l_inv
 DEFAULT_RANK_THRESHOLD = 1e-10
 
 
-def _hat_stack(x, spec):
-    return as_rep_stack(apply_l(x, spec))
-
-
 def _slicewise(fn, spec, *tensors):
     """L^{-1}(fn(L(t_1), L(t_2), ...)) with fn acting on (P, I_1, I_2) stacks.
 
@@ -32,7 +28,7 @@ def _slicewise(fn, spec, *tensors):
     """
     # The forward stacks stay referenced until the inverse is done: freeing
     # them first made a dct solve take 1.5x the minor page faults.
-    hats = [_hat_stack(t, spec) for t in tensors]
+    hats = [as_rep_stack(apply_l(t, spec)) for t in tensors]
     out = fn(*hats)
     real = all(np.isrealobj(t) for t in tensors)
 
@@ -103,14 +99,21 @@ class RankReport:
     average: float
 
 
+def _svd(stack, **kwargs):
+    """np.linalg.svd of a slice stack; NaN or inf is refused before LAPACK sees it."""
+    if not np.isfinite(stack).all():
+        raise ParameterError("transform-domain slices hold NaN or inf (non-finite input or overflow)")
+    return np.linalg.svd(stack, **kwargs)
+
+
 def _spectrum(a, spec):
     """Singular values of every L-domain slice, (P, min(I_1, I_2)), non-increasing per slice."""
-    return np.linalg.svd(_hat_stack(np.asarray(a), spec), compute_uv=False)
+    return _svd(as_rep_stack(apply_l(np.asarray(a), spec)), compute_uv=False)
 
 
 def _svd_factors(hat):
     """Full SVD of every slice as the stacks u, f-diagonal s and v."""
-    u_hat, sv, vh_hat = np.linalg.svd(hat, full_matrices=True)
+    u_hat, sv, vh_hat = _svd(hat, full_matrices=True)
     s_hat = np.zeros(hat.shape, dtype=sv.dtype)
     idx = np.arange(sv.shape[1])
     s_hat[:, idx, idx] = sv
@@ -170,7 +173,7 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     spec.require_unitary("svt")
 
     def shrink(hat):
-        u, sv, vh = np.linalg.svd(hat, full_matrices=False)
+        u, sv, vh = _svd(hat, full_matrices=False)
         u *= np.maximum(sv - tau, 0.0)[:, None, :]
         return np.matmul(u, vh)
 

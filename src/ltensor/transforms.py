@@ -1,16 +1,19 @@
 """Mode-wise invertible transforms defining the *_L product family.
 
 A :class:`TransformSpec` fixes the operator L: which trailing modes are
-transformed and by which matrices.  Three built-in kinds:
+transformed and by which matrices M_i.  Two kinds apply fixed M_i by fast
+transforms, and two are built from their matrices and inverses:
 
 * ``fft`` - unnormalized DFT along each transformed mode (t-product family).
 * ``dct`` - orthogonal DCT-II matrix (TNN-PGA-C style solving).
-* ``cprod`` - M = W^{-1} C (I + Z), the exact cosine-product matrix; not of
-  the unitary-scaled form, so the nuclear-norm/SVT theory is disabled for it.
+* ``cprod`` - M = W^{-1} C (I + Z), the exact cosine-product matrix.
+* ``explicit`` - the caller's invertible matrices.
 
 ``alpha`` is the product over transformed modes of the unitarity scales s_i
 with M_i M_i* = s_i I, so that ||a||_F^2 = alpha^{-1} ||L(a)||_F^2 for
-unitary-scaled kinds (alpha = prod I_i for fft, 1 for dct).
+unitary-scaled kinds (alpha = prod I_i for fft, 1 for dct).  One Gram test
+per M_i finds s_i for the matrix kinds; alpha is None if one fails (cprod on
+a mode of size >= 2), which disables the nuclear-norm/SVT theory.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ def build_fourier_matrix(n: int) -> np.ndarray:
 
 def build_cproduct_matrix(n: int) -> np.ndarray:
     """Cosine-product matrix M = W^{-1} C (I + Z), W = diag(C[:, 0]), Z upshift."""
-    if n < 1:
-        raise ParameterError(f"matrix size must be >= 1, got {n}")
     c = build_dct_matrix(n)
     w_inv = np.diag(1.0 / c[:, 0])
     iz = np.eye(n) + np.diag(np.ones(n - 1), 1)
@@ -59,14 +60,12 @@ def build_cproduct_matrix(n: int) -> np.ndarray:
 
 def build_cproduct_inverse(n: int) -> np.ndarray:
     """Closed-form inverse M^{-1} = (I + Z)^{-1} C* W."""
-    if n < 1:
-        raise ParameterError(f"matrix size must be >= 1, got {n}")
     c = build_dct_matrix(n)
     iz = np.eye(n) + np.diag(np.ones(n - 1), 1)
     return np.linalg.solve(iz, c.T @ np.diag(c[:, 0]))
 
 
-_BUILDERS = {"fft": build_fourier_matrix, "dct": build_dct_matrix, "cprod": build_cproduct_matrix}
+_BUILDERS = {"fft": build_fourier_matrix, "dct": build_dct_matrix}
 
 
 @dataclass(eq=False)
@@ -104,7 +103,7 @@ class TransformSpec:
         return hash((self.kind, self.modes, self.sizes))  # equal specs agree on these
 
     def mode_matrix(self, mode: int) -> np.ndarray:
-        """The explicit transform matrix for one mode (built lazily)."""
+        """The transform matrix for one mode (built lazily for the fast kinds)."""
         if mode not in self.modes:
             raise TransformError(f"mode {mode} is not transformed by this spec")
         if mode not in self._matrices:
@@ -115,9 +114,7 @@ class TransformSpec:
     def mode_inverse(self, mode: int) -> np.ndarray:
         """The inverse of :meth:`mode_matrix`, computed once per mode."""
         if mode not in self._inverses:
-            m = self.mode_matrix(mode)
-            inv = build_cproduct_inverse(m.shape[0]) if self.kind == "cprod" else np.linalg.inv(m)
-            self._inverses[mode] = inv
+            self._inverses[mode] = np.linalg.inv(self.mode_matrix(mode))
         return self._inverses[mode]
 
 
@@ -144,41 +141,35 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     if kind == "dct":
         return TransformSpec("dct", modes, sizes, 1.0)
     if kind == "cprod":
-        spec = TransformSpec("cprod", modes, sizes, None)
-        for m in modes:
-            _check_invertible(spec.mode_matrix(m), spec.mode_inverse(m))
-        return spec
-    if kind == "explicit":
+        mats = {m: build_cproduct_matrix(n) for m, n in zip(modes, sizes)}
+        inverses = {m: build_cproduct_inverse(n) for m, n in zip(modes, sizes)}
+    elif kind == "explicit":
         if matrices is None:
             raise TransformError("explicit kind requires per-mode matrices")
         mats = {int(m): np.array(matrices[m]) for m in matrices}
         if set(mats) != set(modes):
             raise TransformError(f"matrices given for modes {sorted(mats)}, expected {modes}")
-        scales = []
         inverses = {}
-        for m in modes:
-            mat = mats[m]
-            n = shape[m - 1]
-            if mat.shape != (n, n):
-                raise TransformError(f"matrix for mode {m} has shape {mat.shape}, expected ({n}, {n})")
+        for m, n in zip(modes, sizes):
+            if mats[m].shape != (n, n):
+                raise TransformError(f"matrix for mode {m} has shape {mats[m].shape}, expected ({n}, {n})")
             try:
-                inverses[m] = np.linalg.inv(mat)
+                inverses[m] = np.linalg.inv(mats[m])
             except np.linalg.LinAlgError as exc:
                 raise TransformError(f"matrix for mode {m} is singular") from exc
-            _check_invertible(mat, inverses[m])
-            gram = mat @ mat.conj().T
-            s = float(np.trace(gram).real) / n
-            if np.linalg.norm(gram - s * np.eye(n)) < _UNITARY_TOL * max(1.0, s):
-                scales.append(s)
-        alpha = float(np.prod(scales)) if len(scales) == len(modes) else None
-        return TransformSpec("explicit", modes, sizes, alpha, mats, inverses)
-    raise TransformError(f"unknown transform kind {kind!r}")
-
-
-def _check_invertible(m, m_inv):
-    n = m.shape[0]
-    if np.linalg.norm(m @ m_inv - np.eye(n)) >= _INV_TOL * max(1.0, float(np.linalg.norm(m))):
-        raise TransformError("transform matrix is not invertible to working precision")
+    else:
+        raise TransformError(f"unknown transform kind {kind!r}")
+    scales = []
+    for m, n in zip(modes, sizes):
+        mat = mats[m]
+        if np.linalg.norm(mat @ inverses[m] - np.eye(n)) >= _INV_TOL * max(1.0, float(np.linalg.norm(mat))):
+            raise TransformError("transform matrix is not invertible to working precision")
+        gram = mat @ mat.conj().T
+        s = float(np.trace(gram).real) / n
+        if np.linalg.norm(gram - s * np.eye(n)) < _UNITARY_TOL * max(1.0, s):
+            scales.append(s)
+    alpha = float(np.prod(scales)) if len(scales) == len(modes) else None
+    return TransformSpec(kind, modes, sizes, alpha, mats, inverses)
 
 
 # Fast (forward, inverse) pair per kind; other kinds use the mode matrices.
@@ -188,7 +179,7 @@ _FAST = {
 }
 
 
-def _mode_loop(x, spec, inverse, explicit=False):
+def _mode_loop(x, spec, inverse):
     out = np.asarray(x)
     for mode, size in zip(spec.modes, spec.sizes):
         if mode > out.ndim or out.shape[mode - 1] != size:
@@ -196,7 +187,7 @@ def _mode_loop(x, spec, inverse, explicit=False):
                 f"tensor of shape {out.shape} does not match spec modes {spec.modes} "
                 f"with sizes {spec.sizes}"
             )
-    fast = None if explicit else _FAST.get(spec.kind)
+    fast = _FAST.get(spec.kind)
     for mode in reversed(spec.modes) if inverse else spec.modes:
         if fast is not None:
             out = fast[inverse](out, axis=mode - 1)
@@ -206,13 +197,9 @@ def _mode_loop(x, spec, inverse, explicit=False):
     return out
 
 
-def apply_l(x, spec: TransformSpec, explicit: bool = False) -> np.ndarray:
-    """L(x): successive mode products with M_i over spec.modes.
-
-    Fast transforms are used for the fft/dct kinds unless ``explicit`` forces
-    the matrix path.
-    """
-    return _mode_loop(x, spec, inverse=False, explicit=explicit)
+def apply_l(x, spec: TransformSpec) -> np.ndarray:
+    """L(x): successive mode products with M_i over spec.modes (fast transforms for fft/dct)."""
+    return _mode_loop(x, spec, inverse=False)
 
 
 def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False) -> np.ndarray:

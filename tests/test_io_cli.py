@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,9 @@ import ltensor.completion
 from ltensor.cli import main
 from ltensor.completion import CompletionConfig, CompletionTrace, IterationRecord, sample_mask
 from ltensor.errors import FormatError
-from ltensor.io import export_ppm_dir, import_ppm_dir, read_container, write_container
+from ltensor.io import _read_ppm, export_ppm_dir, import_ppm_dir, read_container, write_container
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestContainer:
@@ -76,6 +82,23 @@ class TestContainer:
             read_container(path)
         assert main(["metrics", "--a", str(path), "--b", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_dims_numpy_cannot_shape(self, tmp_path, capsys):
+        path = tmp_path / "big.tlt"
+        dims = np.array([0, 2**63, 1], dtype="<u8")  # product 0, so the empty payload fits
+        path.write_bytes(b"TLT1" + bytes([3]) + dims.tobytes() + bytes([0]))
+        with pytest.raises(FormatError, match="too large for an array"):
+            read_container(path)
+        assert main(["metrics", "--a", str(path), "--b", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_uint8_round_trips_as_float64(self, tmp_path):
+        path = tmp_path / "x.tlt"
+        x = np.array([0, 5, 7, 255], dtype=np.uint8).reshape(2, 2)
+        write_container(path, x)
+        back = read_container(path)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, x)
 
     @pytest.mark.parametrize(
         "data, message",
@@ -152,6 +175,12 @@ class TestPpm:
         (frame_dir / "f.ppm").write_bytes(data)
         with pytest.raises(FormatError, match=message):
             import_ppm_dir(frame_dir)
+
+    def test_rejects_frame_numpy_cannot_shape(self, tmp_path):
+        path = tmp_path / "f.ppm"
+        path.write_bytes(b"P6\n0 3074457345618258603\n255\n")  # 0 pixel bytes, as the header says
+        with pytest.raises(FormatError, match="too large for an array"):
+            _read_ppm(path)
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(FormatError, match="no .ppm frames"):
@@ -331,7 +360,21 @@ class TestCli:
         write_container("a.tlt", a)
         assert main([command, "--input", "a.tlt", "--transform", "dct"] + outputs) == 2
         err = capsys.readouterr().err
-        assert "SVD did not converge" in err and "Traceback" not in err
+        assert "NaN or inf" in err and "Traceback" not in err
+
+    def test_svt_on_inf_exits_2_without_hanging(self, tmp_path):
+        a = np.ones((3, 3, 2))
+        a[1, 1, 0] = np.inf
+        write_container(tmp_path / "a.tlt", a)
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "ltensor", "svt", "--input", "a.tlt", "--tau", "1",
+             "--transform", "fft", "--out", "o.tlt"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "NaN or inf" in done.stderr and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("bad", [np.nan, 1j])
     def test_complete_rejects_bad_data_exit_2(self, tmp_path, capsys, bad):

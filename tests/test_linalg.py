@@ -364,3 +364,19 @@ class TestSvt:
 
         expected = apply_l_inv(shrunk.reshape(1, 1, 2), spec)
         np.testing.assert_allclose(svt(a, tau, spec), expected, atol=1e-12)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "op",
+        [t_svd, lambda a, spec: svt(a, 1.0, spec), ranks, spectral_norm, nuclear_norm],
+        ids=["t_svd", "svt", "ranks", "spectral_norm", "nuclear_norm"],
+    )
+    def test_rejected_before_the_svd(self, op, bad, kind):
+        # compute_uv=True never returned on a 3x3 slice holding inf
+        a = np.ones((3, 3, 2))
+        a[1, 1, 0] = bad
+        with pytest.raises(ParameterError, match="NaN or inf"):
+            op(a, make_spec(kind, a.shape))

@@ -120,7 +120,8 @@ class TestApplyL:
             x = rng.standard_normal(shape)
             spec = make_spec(kind, shape)
             fast = apply_l(x, spec)
-            slow = apply_l(x, spec, explicit=True)
+            matrices = {m: spec.mode_matrix(m) for m in spec.modes}
+            slow = apply_l(x, make_spec("explicit", shape, matrices=matrices))
             np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-10)
 
     def test_linearity(self, rng):
@@ -169,6 +170,13 @@ class TestSpecConstruction:
         assert make_spec("fft", (2, 2, 3, 4)).unitary_scaled
         assert make_spec("dct", (2, 2, 3)).unitary_scaled
         assert not make_spec("cprod", (2, 2, 3)).unitary_scaled
+
+    def test_cprod_alpha_comes_from_the_gram_test(self):
+        assert make_spec("cprod", (2, 2, 2)).alpha is None
+        assert make_spec("cprod", (2, 2, 3, 1)).alpha is None
+        # size-1 modes make M = [[1]], the identity: unitary-scaled like explicit [[1.0]]
+        assert make_spec("cprod", (2, 2, 1)).alpha == 1.0
+        assert make_spec("explicit", (2, 2, 1), matrices={3: [[1.0]]}).alpha == 1.0
 
     def test_fft_alpha_is_product_of_scales(self):
         assert make_spec("fft", (2, 2, 3, 4)).alpha == 12.0
