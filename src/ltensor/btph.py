@@ -75,11 +75,12 @@ def _btph_rec(x):
     return _btph_blocks(blocks)
 
 
-def ten(m, dims, validate: bool = True) -> np.ndarray:
+def ten(m, dims) -> np.ndarray:
     """Left inverse of btph: recover the generating tensor of shape ``dims``.
 
     Slices are extracted bottom-up from the first block column, where row
-    block i equals X^{(i)} + X^{(i+1)} (Toeplitz plus Hankel overlap).
+    block i equals X^{(i)} + X^{(i+1)} (Toeplitz plus Hankel overlap).  The
+    result is re-unrolled and must reproduce ``m``, else StructureError.
     """
     m = np.asarray(m)
     dims = tuple(int(d) for d in dims)
@@ -88,12 +89,9 @@ def ten(m, dims, validate: bool = True) -> np.ndarray:
     if m.shape != (dims[0] * P, dims[1] * P):
         raise StructureError(f"matrix shape {m.shape} does not match dims {dims}")
     x = _ten_rec(m, dims)
-    if validate:
-        resid = np.linalg.norm(_btph_rec(x) - m)
-        if resid > _STRUCT_TOL * (1.0 + np.linalg.norm(m)):
-            raise StructureError(
-                f"matrix is not a consistent btph unrolling (residual {resid:.3e})"
-            )
+    resid = np.linalg.norm(_btph_rec(x) - m)
+    if resid > _STRUCT_TOL * (1.0 + np.linalg.norm(m)):
+        raise StructureError(f"matrix is not a consistent btph unrolling (residual {resid:.3e})")
     return x
 
 

@@ -34,6 +34,8 @@ def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
     if not 0.0 <= sr <= 1.0:
         raise ParameterError(f"sampling ratio must be in [0, 1], got {sr}")
     dims = tuple(int(d) for d in dims)
+    if seed < 0 or any(d < 0 for d in dims):
+        raise ParameterError(f"seed and dims must be >= 0, got seed {seed} and dims {dims}")
     total = int(np.prod(dims, dtype=np.int64))
     count = int(round(sr * total))
     rng = np.random.default_rng(seed)
@@ -91,12 +93,15 @@ class CompletionConfig:
     rse_denominator: str = "obtained"
 
     def validate(self):
+        """Raise ParameterError for any value out of range; NaN is out of every range."""
         if not 0.0 < self.nu < 1.0:
             raise ParameterError(f"nu must be in (0, 1), got {self.nu}")
-        if self.tol <= 0.0:
+        if not 0.0 < self.tol:
             raise ParameterError(f"tol must be > 0, got {self.tol}")
-        if self.mu_bar_ratio > 1.0 or self.mu_bar_ratio < 0.0:
+        if not 0.0 <= self.mu_bar_ratio <= 1.0:
             raise ParameterError(f"mu_bar_ratio must be in [0, 1], got {self.mu_bar_ratio}")
+        if self.mu0 is not None and not 0.0 <= self.mu0 < math.inf:
+            raise ParameterError(f"mu0 must be finite and >= 0, got {self.mu0}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
 

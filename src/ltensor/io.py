@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 
 MAGIC = b"TLT1"
 _DTYPES = {
@@ -134,6 +134,8 @@ def export_ppm_dir(x, path) -> None:
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[2] != 3:
         raise FormatError(f"expected an H x W x 3 x T tensor, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ParameterError("frames hold NaN or inf entries")
     os.makedirs(path, exist_ok=True)
     height, width, _, count = x.shape
     quant = np.clip(np.floor(x * 255.0 + 0.5), 0, 255).astype(np.uint8)

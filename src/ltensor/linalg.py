@@ -100,7 +100,8 @@ class RankReport:
 
 
 def _svd(stack, **kwargs):
-    """np.linalg.svd of a slice stack; NaN or inf is refused before LAPACK sees it."""
+    """np.linalg.svd of a slice stack; NaN or inf is refused before LAPACK sees it
+    (callers silence overflow warnings, so an overflowed transform shows only here)."""
     if not np.isfinite(stack).all():
         raise ParameterError("transform-domain slices hold NaN or inf (non-finite input or overflow)")
     return np.linalg.svd(stack, **kwargs)
@@ -108,7 +109,8 @@ def _svd(stack, **kwargs):
 
 def _spectrum(a, spec):
     """Singular values of every L-domain slice, (P, min(I_1, I_2)), non-increasing per slice."""
-    return _svd(as_rep_stack(apply_l(np.asarray(a), spec)), compute_uv=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _svd(as_rep_stack(apply_l(np.asarray(a), spec)), compute_uv=False)
 
 
 def _svd_factors(hat):
@@ -126,7 +128,8 @@ def t_svd(a, spec: TransformSpec) -> LFactors:
     a = u *_L s *_L v^T with u, v orthogonal and s f-diagonal; tube norms are
     the Frobenius norms of the scalar-tensors s(i,i,:,...,:).
     """
-    u, s, v = _slicewise(_svd_factors, spec, np.asarray(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, s, v = _slicewise(_svd_factors, spec, np.asarray(a))
     tube_norms = np.array([fro_norm(s[(i, i)]) for i in range(min(s.shape[:2]))])
     return LFactors(u=u, s=s, v=v, tube_norms=tube_norms, spec=spec)
 
@@ -139,7 +142,7 @@ def truncate(f: LFactors, k: int) -> np.ndarray:
 
 def ranks(a, spec: TransformSpec, threshold: float = DEFAULT_RANK_THRESHOLD) -> RankReport:
     """Tubal rank, multirank vector and average rank at a relative threshold."""
-    if threshold < 0:
+    if not 0.0 <= threshold:
         raise ParameterError(f"threshold must be >= 0, got {threshold}")
     sv = _spectrum(a, spec)
     smax = float(sv.max(initial=0.0))
@@ -168,7 +171,7 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
 
     Proximal operator of tau * nuclear_norm for unitary-scaled specs.
     """
-    if tau < 0:
+    if not 0.0 <= tau:
         raise ParameterError(f"tau must be >= 0, got {tau}")
     spec.require_unitary("svt")
 
@@ -177,4 +180,5 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
         u *= np.maximum(sv - tau, 0.0)[:, None, :]
         return np.matmul(u, vh)
 
-    return _slicewise(shrink, spec, np.asarray(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _slicewise(shrink, spec, np.asarray(a))

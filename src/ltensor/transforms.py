@@ -2,7 +2,7 @@
 
 A :class:`TransformSpec` fixes the operator L: which trailing modes are
 transformed and by which matrices M_i.  Two kinds apply fixed M_i by fast
-transforms, and two are built from their matrices and inverses:
+transforms; two store their matrices and ``np.linalg.inv`` inverses alike:
 
 * ``fft`` - unnormalized DFT along each transformed mode (t-product family).
 * ``dct`` - orthogonal DCT-II matrix (TNN-PGA-C style solving).
@@ -56,13 +56,6 @@ def build_cproduct_matrix(n: int) -> np.ndarray:
     w_inv = np.diag(1.0 / c[:, 0])
     iz = np.eye(n) + np.diag(np.ones(n - 1), 1)
     return w_inv @ c @ iz
-
-
-def build_cproduct_inverse(n: int) -> np.ndarray:
-    """Closed-form inverse M^{-1} = (I + Z)^{-1} C* W."""
-    c = build_dct_matrix(n)
-    iz = np.eye(n) + np.diag(np.ones(n - 1), 1)
-    return np.linalg.solve(iz, c.T @ np.diag(c[:, 0]))
 
 
 _BUILDERS = {"fft": build_fourier_matrix, "dct": build_dct_matrix}
@@ -121,8 +114,9 @@ class TransformSpec:
 def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     """Build a TransformSpec for tensors of the given shape.
 
-    ``modes`` defaults to all trailing modes 3..N.  ``matrices`` is only for
-    kind ``explicit`` and must map mode -> invertible matrix.
+    ``modes`` defaults to all trailing modes 3..N; each may appear once.
+    ``matrices`` is only for kind ``explicit`` (mode -> invertible matrix);
+    ``cprod`` builds its own.
     """
     shape = tuple(int(d) for d in shape)
     if len(shape) < 3:
@@ -131,9 +125,11 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         modes = tuple(range(3, len(shape) + 1))
     else:
         modes = tuple(sorted(int(m) for m in modes))
-    for m in modes:
+    for i, m in enumerate(modes):
         if not 3 <= m <= len(shape):
             raise TransformError(f"mode {m} out of range [3, {len(shape)}] for shape {shape}")
+        if m in modes[:i]:
+            raise TransformError(f"mode {m} is given more than once")
     sizes = tuple(shape[m - 1] for m in modes)
 
     if kind == "fft":
@@ -141,27 +137,23 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     if kind == "dct":
         return TransformSpec("dct", modes, sizes, 1.0)
     if kind == "cprod":
-        mats = {m: build_cproduct_matrix(n) for m, n in zip(modes, sizes)}
-        inverses = {m: build_cproduct_inverse(n) for m, n in zip(modes, sizes)}
-    elif kind == "explicit":
-        if matrices is None:
-            raise TransformError("explicit kind requires per-mode matrices")
-        mats = {int(m): np.array(matrices[m]) for m in matrices}
-        if set(mats) != set(modes):
-            raise TransformError(f"matrices given for modes {sorted(mats)}, expected {modes}")
-        inverses = {}
-        for m, n in zip(modes, sizes):
-            if mats[m].shape != (n, n):
-                raise TransformError(f"matrix for mode {m} has shape {mats[m].shape}, expected ({n}, {n})")
-            try:
-                inverses[m] = np.linalg.inv(mats[m])
-            except np.linalg.LinAlgError as exc:
-                raise TransformError(f"matrix for mode {m} is singular") from exc
-    else:
+        matrices = {m: build_cproduct_matrix(n) for m, n in zip(modes, sizes)}
+    elif kind != "explicit":
         raise TransformError(f"unknown transform kind {kind!r}")
-    scales = []
+    elif matrices is None:
+        raise TransformError("explicit kind requires per-mode matrices")
+    mats = {int(m): np.array(matrices[m]) for m in matrices}
+    if set(mats) != set(modes):
+        raise TransformError(f"matrices given for modes {sorted(mats)}, expected {modes}")
+    inverses, scales = {}, []
     for m, n in zip(modes, sizes):
         mat = mats[m]
+        if mat.shape != (n, n):
+            raise TransformError(f"matrix for mode {m} has shape {mat.shape}, expected ({n}, {n})")
+        try:
+            inverses[m] = np.linalg.inv(mat)
+        except np.linalg.LinAlgError as exc:
+            raise TransformError(f"matrix for mode {m} is singular") from exc
         if np.linalg.norm(mat @ inverses[m] - np.eye(n)) >= _INV_TOL * max(1.0, float(np.linalg.norm(mat))):
             raise TransformError("transform matrix is not invertible to working precision")
         gram = mat @ mat.conj().T

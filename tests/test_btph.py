@@ -145,7 +145,7 @@ class TestCproductViaBtph:
         b = rng.standard_normal((3, 2, 2, 2))
         prod = btph(a).matrix @ btph(b).matrix
         # closed: the product is itself a consistent btph matrix
-        c = ten(prod, (2, 2, 2, 2), validate=True)
+        c = ten(prod, (2, 2, 2, 2))
         np.testing.assert_allclose(btph(c).matrix, prod, atol=1e-10)
 
     def test_shape_mismatch(self):

@@ -70,6 +70,15 @@ class TestSampleMask:
         with pytest.raises(ParameterError):
             sample_mask((2, 2, 2), 1.5, 0)
 
+    @pytest.mark.parametrize(
+        "dims, sr, seed",
+        [((2, 2, 2), math.nan, 0), ((2, 2, 2), 0.5, -1), ((2, -2, 2), 0.5, 0)],
+        ids=["nan-ratio", "negative-seed", "negative-dim"],
+    )
+    def test_rejects_bad_arguments(self, dims, sr, seed):
+        with pytest.raises(ParameterError):
+            sample_mask(dims, sr, seed)
+
 
 class TestMetrics:
     def test_rse_identical(self):
@@ -137,6 +146,26 @@ class TestConfig:
         ):
             with pytest.raises(ParameterError):
                 CompletionConfig(spec=spec, **kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nu", math.nan),
+            ("tol", math.nan),
+            ("mu_bar_ratio", math.nan),
+            ("mu0", math.nan),
+            ("mu0", math.inf),
+            ("mu0", -1.0),
+        ],
+    )
+    def test_validate_rejects_nan_and_unbounded_values(self, field, value):
+        # tol=nan and mu0=inf ran to max_iters; mu_bar_ratio=nan dropped the mu_bar floor
+        cfg = CompletionConfig(spec=make_spec("fft", (2, 2, 2)), **{field: value})
+        with pytest.raises(ParameterError, match=field):
+            cfg.validate()
+
+    def test_zero_mu0_passes(self):
+        CompletionConfig(spec=make_spec("dct", (2, 2, 2)), mu0=0.0).validate()
 
     def test_defaults_pass(self):
         CompletionConfig(spec=make_spec("dct", (2, 2, 2))).validate()

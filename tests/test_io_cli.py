@@ -8,7 +8,7 @@ import pytest
 import ltensor.completion
 from ltensor.cli import main
 from ltensor.completion import CompletionConfig, CompletionTrace, IterationRecord, sample_mask
-from ltensor.errors import FormatError
+from ltensor.errors import FormatError, ParameterError
 from ltensor.io import _read_ppm, export_ppm_dir, import_ppm_dir, read_container, write_container
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -198,6 +198,15 @@ class TestPpm:
         with pytest.raises(FormatError):
             export_ppm_dir(np.ones((2, 2, 4, 1)), tmp_path / "v")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_export_rejects_non_finite_before_writing(self, tmp_path, bad):
+        # NaN was cast to 0 with "invalid value encountered in cast"
+        x = np.full((2, 2, 3, 2), 0.5)
+        x[0, 1, 2, 1] = bad
+        with pytest.raises(ParameterError, match="NaN or inf"):
+            export_ppm_dir(x, tmp_path / "v")
+        assert not (tmp_path / "v").exists()
+
 
 class TestCli:
     def test_metrics_identical_file(self, tmp_path, capsys, rng):
@@ -361,6 +370,24 @@ class TestCli:
         assert main([command, "--input", "a.tlt", "--transform", "dct"] + outputs) == 2
         err = capsys.readouterr().err
         assert "NaN or inf" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["svt", "--input", "a.tlt", "--tau", "nan", "--transform", "dct", "--out", "o.tlt"],
+            ["mask", "gen", "--dims", "4,2,3", "--sr", "0.5", "--seed", "-1", "--out", "o.tlt"],
+            ["product", "--a", "a.tlt", "--b", "a.tlt", "--transform", "fft", "--modes", "3,3",
+             "--out", "o.tlt"],
+        ],
+        ids=["svt-tau-nan", "mask-negative-seed", "product-mode-twice"],
+    )
+    def test_bad_parameter_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_container("a.tlt", np.ones((2, 2, 3)))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o.tlt").exists()
 
     def test_svt_on_inf_exits_2_without_hanging(self, tmp_path):
         a = np.ones((3, 3, 2))

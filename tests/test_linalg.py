@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ltensor.btph import cproduct_via_btph
 from ltensor.core import fro_norm, rep_matrix
-from ltensor.errors import ParameterError, ShapeError, UnsupportedSpecError
+from ltensor.errors import LTensorError, ParameterError, ShapeError, UnsupportedSpecError
 from ltensor.linalg import (
     identity_tensor,
     is_orthogonal,
@@ -267,6 +269,11 @@ class TestRanks:
         with pytest.raises(ParameterError, match="threshold must be >= 0"):
             ranks(np.ones((2, 2, 2)), make_spec("fft", (2, 2, 2)), threshold=-1e-3)
 
+    def test_nan_threshold(self):
+        # NaN passed `threshold < 0` and gave tubal rank 0
+        with pytest.raises(ParameterError, match="threshold must be >= 0"):
+            ranks(np.ones((2, 2, 2)), make_spec("fft", (2, 2, 2)), threshold=np.nan)
+
     def test_constructed_rank_two(self, rng):
         spec = make_spec("fft", (4, 3, 2, 2))
         a = l_product(
@@ -336,6 +343,11 @@ class TestSvt:
         with pytest.raises(ParameterError):
             svt(np.ones((2, 2, 2)), -0.1, make_spec("dct", (2, 2, 2)))
 
+    def test_nan_tau(self):
+        # NaN passed `tau < 0` and returned all NaN
+        with pytest.raises(ParameterError, match="tau must be >= 0"):
+            svt(np.ones((2, 2, 2)), np.nan, make_spec("dct", (2, 2, 2)))
+
     def test_prox_optimality_random_perturbations(self, rng):
         spec = make_spec("dct", (2, 2, 2))
         tau = 0.5
@@ -380,3 +392,23 @@ class TestNonFinite:
         a[1, 1, 0] = bad
         with pytest.raises(ParameterError, match="NaN or inf"):
             op(a, make_spec(kind, a.shape))
+
+    @pytest.mark.parametrize("kind", ["fft", "cprod"])
+    @pytest.mark.parametrize(
+        "op",
+        [t_svd, lambda a, spec: svt(a, 1.0, spec), ranks, spectral_norm, nuclear_norm],
+        ids=["t_svd", "svt", "ranks", "spectral_norm", "nuclear_norm"],
+    )
+    def test_overflowing_transform_raises_without_warning(self, op, kind):
+        # a finite tensor of 1e308 overflows the fft ("overflow encountered in fft")
+        # and the cprod mode products ("overflow encountered in dot")
+        a = np.full((3, 3, 2), 1e308)
+        spec = make_spec(kind, a.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LTensorError) as err:
+                op(a, spec)
+        if spec.unitary_scaled or op is t_svd or op is ranks:
+            assert err.type is ParameterError and "NaN or inf" in str(err.value)
+        else:
+            assert err.type is UnsupportedSpecError

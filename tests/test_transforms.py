@@ -6,7 +6,6 @@ from ltensor.errors import NumericConsistencyError, ParameterError, TransformErr
 from ltensor.transforms import (
     apply_l,
     apply_l_inv,
-    build_cproduct_inverse,
     build_cproduct_matrix,
     build_dct_matrix,
     build_fourier_matrix,
@@ -61,7 +60,7 @@ class TestCproductMatrix:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_inverse_formula(self, n):
         m = build_cproduct_matrix(n)
-        m_inv = build_cproduct_inverse(n)
+        m_inv = make_spec("cprod", (1, 1, n)).mode_inverse(3)
         assert np.linalg.norm(m @ m_inv - np.eye(n)) < 1e-12
 
 
@@ -242,6 +241,12 @@ class TestSpecConstruction:
     def test_make_spec_rejects(self, kind, shape, modes, matrices, message):
         with pytest.raises(TransformError, match=message):
             make_spec(kind, shape, modes=modes, matrices=matrices)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
+    def test_make_spec_rejects_a_mode_given_twice(self, kind):
+        # mode 3 was transformed twice: fft alpha 9.0, explicit 2I alpha 16.0
+        with pytest.raises(TransformError, match="mode 3 is given more than once"):
+            make_spec(kind, (2, 2, 3, 4), modes=(3, 3), matrices={3: 2 * np.eye(3)})
 
     def test_mode_matrix_of_an_untransformed_mode(self):
         spec = make_spec("fft", (2, 2, 3, 4), modes=(3,))
