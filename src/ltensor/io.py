@@ -134,6 +134,8 @@ def export_ppm_dir(x, path) -> None:
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[2] != 3:
         raise FormatError(f"expected an H x W x 3 x T tensor, got shape {x.shape}")
+    if np.iscomplexobj(x):
+        raise ParameterError("frames must be real, got a complex tensor")
     if not np.isfinite(x).all():
         raise ParameterError("frames hold NaN or inf entries")
     os.makedirs(path, exist_ok=True)

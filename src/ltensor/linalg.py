@@ -5,6 +5,12 @@ representative matrices (batched over p in fixed ascending order) and
 transform back, through the one helper :func:`_slicewise`.  Real inputs under
 a complex backend (fft) come back real via the imaginary-residual contract in
 :func:`ltensor.transforms.apply_l_inv`.
+
+:func:`svt` factors each slice's small Hermitian Gram matrix instead of the
+slice, and takes the direct SVD when ``tau < 1e-6 * max_p ||H_p||_F``;
+:func:`t_svd`, :func:`ranks`, :func:`spectral_norm` and :func:`nuclear_norm`
+need the small singular values, which squaring would lose, and stay on the
+direct SVD.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ from .errors import ParameterError, ShapeError
 from .transforms import TransformSpec, apply_l, apply_l_inv
 
 DEFAULT_RANK_THRESHOLD = 1e-10
+
+# svt's Gram path needs tau >= 1e-6 * fmax (see svt) and fmax^2 >= tiny / eps,
+# below which the Gram's entries lose accuracy to underflow.
+_GRAM_MIN_TAU = 1e-6
+_GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _slicewise(fn, spec, *tensors):
@@ -170,15 +181,37 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     """Singular value thresholding: shrink each slice's spectrum by tau.
 
     Proximal operator of tau * nuclear_norm for unitary-scaled specs.
+
+    Each transform-domain slice H (H^H when tall) gives a Gram matrix
+    G = H H^H = U diag(sigma^2) U^H, factored for all slices in one Hermitian
+    ``np.linalg.svd`` call.  The result is U_k diag(max(sigma - tau, 0) / sigma)
+    U_k^H H over the k leading columns that hold some sigma_p > tau.  It agrees
+    with the SVD prox to about eps * fmax^2 / tau (Golub & Van Loan §8.6), where
+    fmax = max_p ||H_p||_F; so when tau < 1e-6 * fmax, or the Gram overflows,
+    underflows or is not finite, the whole stack takes the direct SVD, which
+    rejects NaN and inf.
     """
     if not 0.0 <= tau:
         raise ParameterError(f"tau must be >= 0, got {tau}")
     spec.require_unitary("svt")
 
     def shrink(hat):
-        u, sv, vh = _svd(hat, full_matrices=False)
-        u *= np.maximum(sv - tau, 0.0)[:, None, :]
-        return np.matmul(u, vh)
+        tall = hat.shape[1] > hat.shape[2]
+        h = _conj_transpose(hat) if tall else hat
+        gram = np.matmul(h, _conj_transpose(h))
+        # max_p ||H_p||_F^2, read off the Gram diagonal; NaN or inf when the
+        # input is non-finite or the Gram overflowed.
+        fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max())
+        if not (_GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau):
+            u, sv, vh = _svd(hat, full_matrices=False)
+            u *= np.maximum(sv - tau, 0.0)[:, None, :]
+            return np.matmul(u, vh)
+        u, lam, _ = _svd(gram, hermitian=True)
+        k = int((lam > tau * tau).sum(axis=1).max())
+        u, sv = u[:, :, :k], np.sqrt(lam[:, :k])
+        scale = np.divide(sv - tau, sv, out=np.zeros_like(sv), where=sv > tau)
+        out = np.matmul(u * scale[:, None, :], np.matmul(_conj_transpose(u), h))
+        return _conj_transpose(out) if tall else out
 
     with np.errstate(over="ignore", invalid="ignore"):
         return _slicewise(shrink, spec, np.asarray(a))

@@ -116,7 +116,7 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
 
     ``modes`` defaults to all trailing modes 3..N; each may appear once.
     ``matrices`` is only for kind ``explicit`` (mode -> invertible matrix);
-    ``cprod`` builds its own.
+    the other kinds build their own and reject it.
     """
     shape = tuple(int(d) for d in shape)
     if len(shape) < 3:
@@ -131,6 +131,8 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         if m in modes[:i]:
             raise TransformError(f"mode {m} is given more than once")
     sizes = tuple(shape[m - 1] for m in modes)
+    if matrices is not None and kind != "explicit":
+        raise TransformError(f"matrices are only for kind 'explicit'; {kind!r} takes none")
 
     if kind == "fft":
         return TransformSpec("fft", modes, sizes, float(np.prod(sizes)))

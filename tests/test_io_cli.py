@@ -207,6 +207,12 @@ class TestPpm:
             export_ppm_dir(x, tmp_path / "v")
         assert not (tmp_path / "v").exists()
 
+    def test_export_rejects_complex_before_writing(self, tmp_path):
+        # numpy "ufunc 'floor' not supported" escaped after the directory was made
+        with pytest.raises(ParameterError, match="complex"):
+            export_ppm_dir(np.full((2, 2, 3, 1), 0.5 + 0.5j), tmp_path / "v")
+        assert not (tmp_path / "v").exists()
+
 
 class TestCli:
     def test_metrics_identical_file(self, tmp_path, capsys, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltensor.btph import cproduct_via_btph
-from ltensor.core import fro_norm, rep_matrix
+from ltensor.core import as_rep_stack, fro_norm, from_rep_stack, rep_matrix
 from ltensor.errors import LTensorError, ParameterError, ShapeError, UnsupportedSpecError
 from ltensor.linalg import (
     identity_tensor,
@@ -20,7 +20,7 @@ from ltensor.linalg import (
     t_svd,
     truncate,
 )
-from ltensor.transforms import apply_l, make_spec
+from ltensor.transforms import apply_l, apply_l_inv, make_spec
 
 from conftest import random_shape
 
@@ -376,6 +376,127 @@ class TestSvt:
 
         expected = apply_l_inv(shrunk.reshape(1, 1, 2), spec)
         np.testing.assert_allclose(svt(a, tau, spec), expected, atol=1e-12)
+
+
+def _svd_prox(a, tau, spec):
+    """The reference prox: a full SVD of every transform-domain slice."""
+    # svt too silences overflow: norms of 1e200 entries overflow to inf
+    with np.errstate(over="ignore"):
+        hat = as_rep_stack(apply_l(a, spec))
+        u, sv, vh = np.linalg.svd(hat, full_matrices=False)
+        out = np.matmul(u * np.maximum(sv - tau, 0.0)[:, None, :], vh)
+        return apply_l_inv(from_rep_stack(out, a.shape[2:]), spec, assume_real=np.isrealobj(a))
+
+
+def _fmax(a, spec):
+    """max_p ||H_p||_F over the transform-domain slices."""
+    return float(np.linalg.norm(as_rep_stack(apply_l(a, spec)), axis=(1, 2)).max())
+
+
+def _with_spectrum(rng, shape, svals):
+    """A real tensor whose frontal slices have the singular values svals."""
+    m, n = shape[:2]
+    slices = []
+    for _ in range(int(np.prod(shape[2:]))):
+        q1 = np.linalg.qr(rng.standard_normal((m, len(svals))))[0]
+        q2 = np.linalg.qr(rng.standard_normal((n, len(svals))))[0]
+        slices.append((q1 * svals) @ q2.T)
+    return np.moveaxis(np.reshape(slices, shape[2:] + (m, n)), (-2, -1), (0, 1))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record the keyword arguments of every np.linalg.svd call."""
+    calls, svd = [], np.linalg.svd
+
+    def counting(x, **kwargs):
+        calls.append(kwargs)
+        return svd(x, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+class TestSvtGram:
+    """svt's Gram prox against the SVD prox; tau is given relative to fmax."""
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    @pytest.mark.parametrize("shape", [(9, 6, 4, 3), (6, 9, 5), (7, 7, 2, 3)], ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("spectrum", ["random", "rank3", "clustered", "graded"])
+    def test_matches_the_svd_prox(self, rng, kind, shape, spectrum, svd_calls):
+        k = min(shape[:2])
+        a = {
+            "random": lambda: rng.standard_normal(shape),
+            "rank3": lambda: _with_spectrum(rng, shape, np.array([5.0, 2.0, 1.0])),
+            "clustered": lambda: _with_spectrum(rng, shape, 1.0 + 1e-9 * np.arange(k)),
+            "graded": lambda: _with_spectrum(rng, shape, np.logspace(0, -8, k)),
+        }[spectrum]()
+        spec = make_spec(kind, a.shape)
+        fmax = _fmax(a, spec)
+        for ratio, gram in [(0.99e-6, False), (1.01e-6, True), (1e-4, True), (0.05, True), (0.3, True), (0.999, True)]:
+            svd_calls.clear()
+            out = svt(a, ratio * fmax, spec)
+            assert [c.get("hermitian", False) for c in svd_calls] == [gram]
+            assert fro_norm(out - _svd_prox(a, ratio * fmax, spec)) <= 1e-12 * fro_norm(a)
+
+    @pytest.mark.parametrize("shape", [(5, 3, 4), (3, 5, 4)], ids=["tall", "wide"])
+    def test_complex_input(self, rng, shape):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec = make_spec("fft", shape)
+        tau = 0.2 * _fmax(a, spec)
+        np.testing.assert_allclose(svt(a, tau, spec), _svd_prox(a, tau, spec), rtol=0, atol=1e-12 * fro_norm(a))
+
+    def test_singular_values_on_both_sides_of_tau(self, rng):
+        # The worst case for the Gram: tau at the guard with singular values
+        # just above and below it.  The gap to the SVD prox stays within the
+        # documented eps * fmax^2 / tau, far above the 1e-12 of other spectra.
+        for kind in ("fft", "dct"):
+            sv = np.concatenate([[1.0, 0.5], np.full(5, 1.5e-6), rng.uniform(0, 1e-6, 23)])
+            a = _with_spectrum(rng, (40, 30, 3), sv)
+            spec = make_spec(kind, a.shape)
+            fmax = _fmax(a, spec)
+            tau = 1.01e-6 * fmax
+            gap = apply_l(svt(a, tau, spec) - _svd_prox(a, tau, spec), spec)
+            assert np.linalg.norm(gap) <= np.finfo(float).eps * fmax**2 / tau
+
+    def test_tau_zero_is_the_identity_through_the_svd(self, rng, svd_calls):
+        a = rng.standard_normal((4, 3, 5))
+        np.testing.assert_allclose(svt(a, 0.0, make_spec("fft", a.shape)), a, atol=1e-12)
+        assert svd_calls == [{"full_matrices": False}]
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_zero_tensor(self, tau, svd_calls):
+        out = svt(np.zeros((3, 4, 2)), tau, make_spec("dct", (3, 4, 2)))
+        assert np.array_equal(out, np.zeros((3, 4, 2))) and len(svd_calls) == 1
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160], ids=["gram_overflows", "gram_underflows"])
+    def test_extreme_scales_take_the_svd(self, rng, scale, svd_calls):
+        # 1e200 squared overflows to inf; 1e-160 squared is subnormal
+        base = rng.standard_normal((4, 3, 2))
+        a, spec = scale * base, make_spec("fft", base.shape)
+        tau = 0.1 * scale * _fmax(base, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = svt(a, tau, spec)
+        assert np.isfinite(out).all() and svd_calls == [{"full_matrices": False}]
+        np.testing.assert_allclose(out, _svd_prox(a, tau, spec), rtol=0, atol=1e-12 * scale * fro_norm(base))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_at_any_tau(self, bad):
+        a = np.ones((3, 3, 2))
+        a[1, 1, 0] = bad
+        for tau in (1.0, 1e300, np.inf):
+            with pytest.raises(ParameterError, match="NaN or inf"):
+                svt(a, tau, make_spec("fft", a.shape))
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_one_svd_call_per_svt(self, rng, kind, svd_calls):
+        a = rng.standard_normal((6, 8, 3, 4))
+        spec = make_spec(kind, a.shape)
+        fmax = _fmax(a, spec)
+        for tau in (0.0, 1e-8 * fmax, 0.1 * fmax, 2 * fmax):
+            svt(a, tau, spec)
+        assert [c.get("hermitian", False) for c in svd_calls] == [False, False, True, True]
 
 
 class TestNonFinite:

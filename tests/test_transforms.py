@@ -236,6 +236,10 @@ class TestSpecConstruction:
             ("explicit", (2, 2, 3), None, None, "requires per-mode matrices"),
             ("explicit", (2, 2, 3, 2), None, {3: np.eye(3)}, r"modes \[3\], expected \(3, 4\)"),
             ("explicit", (2, 2, 3), None, {3: np.eye(2)}, r"shape \(2, 2\), expected \(3, 3\)"),
+            # matrices= was ignored: cprod built the cosine-product matrix anyway
+            ("fft", (2, 2, 3), None, {3: np.eye(3)}, "only for kind 'explicit'"),
+            ("dct", (2, 2, 3), None, {3: np.eye(3)}, "only for kind 'explicit'"),
+            ("cprod", (2, 2, 3), None, {3: np.eye(3)}, "only for kind 'explicit'"),
         ],
     )
     def test_make_spec_rejects(self, kind, shape, modes, matrices, message):
