@@ -85,7 +85,7 @@ def rep_matrix(x, p: int) -> np.ndarray:
 def as_rep_stack(x) -> np.ndarray:
     """All representative matrices as a (P, I_1, I_2) array in p-order."""
     x = _as_tensor(x)
-    flat = x.reshape(x.shape[0], x.shape[1], -1, order="F")
+    flat = x.reshape(x.shape[0], x.shape[1], num_rep(x.shape), order="F")
     return np.moveaxis(flat, 2, 0)
 
 

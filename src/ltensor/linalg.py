@@ -2,9 +2,12 @@
 
 All operations transform to the L-domain, act slice-wise on the P
 representative matrices (batched over p in fixed ascending order) and
-transform back, through the one helper :func:`_slicewise`.  Real inputs under
-a complex backend (fft) come back real via the imaginary-residual contract in
-:func:`ltensor.transforms.apply_l_inv`.
+transform back.  Every op enters through :func:`_forward`, which raises
+``ParameterError`` on NaN or inf in the input or from an overflowed transform.
+Real inputs under fft, dct or cprod come back real via the imaginary-residual
+contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
+complex and so may its outputs.  A zero-size first or second dim gives the
+empty result.
 
 :func:`svt` factors each slice's small Hermitian Gram matrix instead of the
 slice, and takes the direct SVD when ``tau < 1e-6 * max_p ||H_p||_F``;
@@ -31,17 +34,31 @@ _GRAM_MIN_TAU = 1e-6
 _GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
 
 
+def _forward(a, spec):
+    """L(a) as a (P, I_1, I_2) stack, the one way into the L-domain: overflow is silenced
+    here and refused with NaN and inf input, so inf never reaches LAPACK's SVD (it hung)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hat = as_rep_stack(apply_l(a, spec))
+    if not np.isfinite(hat).all():
+        raise ParameterError("transform-domain slices hold NaN or inf (non-finite input or overflow)")
+    return hat
+
+
+def _real(spec, *tensors) -> bool:
+    """Whether L^{-1} may drop the imaginary part: real inputs, and L is not explicit (maybe complex)."""
+    return spec.kind != "explicit" and all(np.isrealobj(t) for t in tensors)
+
+
 def _slicewise(fn, spec, *tensors):
     """L^{-1}(fn(L(t_1), L(t_2), ...)) with fn acting on (P, I_1, I_2) stacks.
 
-    ``fn`` may return a tuple of stacks; each is transformed back.  Outputs
-    are real whenever every input is real.
+    ``fn`` may return a tuple of stacks; each is transformed back.
     """
     # The forward stacks stay referenced until the inverse is done: freeing
     # them first made a dct solve take 1.5x the minor page faults.
-    hats = [as_rep_stack(apply_l(t, spec)) for t in tensors]
+    hats = [_forward(t, spec) for t in tensors]
     out = fn(*hats)
-    real = all(np.isrealobj(t) for t in tensors)
+    real = _real(spec, *tensors)
 
     def back(stack):
         return apply_l_inv(from_rep_stack(stack, tensors[0].shape[2:]), spec, assume_real=real)
@@ -59,7 +76,7 @@ def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
     trailing = tuple(int(d) for d in trailing_dims)
     P = num_rep((n, n) + trailing)
     stack = np.broadcast_to(np.eye(n), (P, n, n)).copy()
-    return apply_l_inv(from_rep_stack(stack, trailing), spec, assume_real=True)
+    return apply_l_inv(from_rep_stack(stack, trailing), spec, assume_real=_real(spec))
 
 
 def _conj_transpose(stack):
@@ -110,23 +127,14 @@ class RankReport:
     average: float
 
 
-def _svd(stack, **kwargs):
-    """np.linalg.svd of a slice stack; NaN or inf is refused before LAPACK sees it
-    (callers silence overflow warnings, so an overflowed transform shows only here)."""
-    if not np.isfinite(stack).all():
-        raise ParameterError("transform-domain slices hold NaN or inf (non-finite input or overflow)")
-    return np.linalg.svd(stack, **kwargs)
-
-
 def _spectrum(a, spec):
     """Singular values of every L-domain slice, (P, min(I_1, I_2)), non-increasing per slice."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _svd(as_rep_stack(apply_l(np.asarray(a), spec)), compute_uv=False)
+    return np.linalg.svd(_forward(a, spec), compute_uv=False)
 
 
 def _svd_factors(hat):
     """Full SVD of every slice as the stacks u, f-diagonal s and v."""
-    u_hat, sv, vh_hat = _svd(hat, full_matrices=True)
+    u_hat, sv, vh_hat = np.linalg.svd(hat, full_matrices=True)
     s_hat = np.zeros(hat.shape, dtype=sv.dtype)
     idx = np.arange(sv.shape[1])
     s_hat[:, idx, idx] = sv
@@ -139,8 +147,7 @@ def t_svd(a, spec: TransformSpec) -> LFactors:
     a = u *_L s *_L v^T with u, v orthogonal and s f-diagonal; tube norms are
     the Frobenius norms of the scalar-tensors s(i,i,:,...,:).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, s, v = _slicewise(_svd_factors, spec, np.asarray(a))
+    u, s, v = _slicewise(_svd_factors, spec, np.asarray(a))
     tube_norms = np.array([fro_norm(s[(i, i)]) for i in range(min(s.shape[:2]))])
     return LFactors(u=u, s=s, v=v, tube_norms=tube_norms, spec=spec)
 
@@ -187,9 +194,8 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     ``np.linalg.svd`` call.  The result is U_k diag(max(sigma - tau, 0) / sigma)
     U_k^H H over the k leading columns that hold some sigma_p > tau.  It agrees
     with the SVD prox to about eps * fmax^2 / tau (Golub & Van Loan §8.6), where
-    fmax = max_p ||H_p||_F; so when tau < 1e-6 * fmax, or the Gram overflows,
-    underflows or is not finite, the whole stack takes the direct SVD, which
-    rejects NaN and inf.
+    fmax = max_p ||H_p||_F; so when tau < 1e-6 * fmax, or the Gram overflows
+    or underflows, the whole stack takes the direct SVD.
     """
     if not 0.0 <= tau:
         raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -198,20 +204,19 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     def shrink(hat):
         tall = hat.shape[1] > hat.shape[2]
         h = _conj_transpose(hat) if tall else hat
-        gram = np.matmul(h, _conj_transpose(h))
-        # max_p ||H_p||_F^2, read off the Gram diagonal; NaN or inf when the
-        # input is non-finite or the Gram overflowed.
-        fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = np.matmul(h, _conj_transpose(h))
+        # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
+        fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max(initial=0.0))
         if not (_GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau):
-            u, sv, vh = _svd(hat, full_matrices=False)
+            u, sv, vh = np.linalg.svd(hat, full_matrices=False)
             u *= np.maximum(sv - tau, 0.0)[:, None, :]
             return np.matmul(u, vh)
-        u, lam, _ = _svd(gram, hermitian=True)
+        u, lam, _ = np.linalg.svd(gram, hermitian=True)
         k = int((lam > tau * tau).sum(axis=1).max())
         u, sv = u[:, :, :k], np.sqrt(lam[:, :k])
         scale = np.divide(sv - tau, sv, out=np.zeros_like(sv), where=sv > tau)
         out = np.matmul(u * scale[:, None, :], np.matmul(_conj_transpose(u), h))
         return _conj_transpose(out) if tall else out
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _slicewise(shrink, spec, np.asarray(a))
+    return _slicewise(shrink, spec, np.asarray(a))

@@ -130,6 +130,8 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
             raise TransformError(f"mode {m} out of range [3, {len(shape)}] for shape {shape}")
         if m in modes[:i]:
             raise TransformError(f"mode {m} is given more than once")
+        if shape[m - 1] == 0:
+            raise TransformError(f"transformed mode {m} has size 0")
     sizes = tuple(shape[m - 1] for m in modes)
     if matrices is not None and kind != "explicit":
         raise TransformError(f"matrices are only for kind 'explicit'; {kind!r} takes none")
@@ -205,8 +207,11 @@ def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False) -> np.ndar
     """
     out = _mode_loop(xhat, spec, inverse=True)
     if assume_real and np.iscomplexobj(out):
-        norm = np.linalg.norm(out.ravel())
-        imag = np.linalg.norm(out.imag.ravel())
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm, imag = np.linalg.norm(out.ravel()), np.linalg.norm(out.imag.ravel())
+            if not np.isfinite(norm):  # the squares overflowed: measure out / max|out|
+                scaled = out / np.abs(out).max()
+                norm, imag = np.linalg.norm(scaled.ravel()), np.linalg.norm(scaled.imag.ravel())
         if norm > 0 and imag / norm > _IMAG_TOL:
             raise NumericConsistencyError(
                 f"imaginary residual {imag / norm:.3e} exceeds {_IMAG_TOL:.0e}; "

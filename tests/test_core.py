@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltensor.core import (
+    as_rep_stack,
     facewise_product,
+    from_rep_stack,
     fro_norm,
     inner_product,
     mode_n_fold,
@@ -160,6 +162,14 @@ class TestRepMatrix:
             multi = rep_index_to_multi(p, x.shape)
             rebuilt[(slice(None), slice(None)) + tuple(k - 1 for k in multi)] = rep_matrix(x, p)
         np.testing.assert_array_equal(rebuilt, x)
+
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2, 2), (3, 3, 0)])
+    def test_zero_size_stack_round_trip(self, shape):
+        # reshaping to -1 slices raised "cannot reshape array of size 0"
+        stack = as_rep_stack(np.ones(shape))
+        assert stack.shape == (num_rep(shape),) + shape[:2]
+        assert from_rep_stack(stack, shape[2:]).shape == shape
 
 
 class TestFacewiseProduct:

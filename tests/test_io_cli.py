@@ -377,6 +377,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "NaN or inf" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["fft", "cprod"])
+    def test_product_on_nan_exit_2(self, tmp_path, capsys, monkeypatch, kind):
+        # l_product returned NaN silently and wrote it out
+        monkeypatch.chdir(tmp_path)
+        a = np.ones((3, 3, 2))
+        a[1, 1, 0] = np.nan
+        write_container("a.tlt", a)
+        argv = ["product", "--a", "a.tlt", "--b", "a.tlt", "--transform", kind, "--out", "o.tlt"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "NaN or inf" in err and "Traceback" not in err
+        assert not (tmp_path / "o.tlt").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -20,7 +20,7 @@ from ltensor.linalg import (
     t_svd,
     truncate,
 )
-from ltensor.transforms import apply_l, apply_l_inv, make_spec
+from ltensor.transforms import apply_l, apply_l_inv, build_fourier_matrix, make_spec
 
 from conftest import random_shape
 
@@ -499,14 +499,20 @@ class TestSvtGram:
         assert [c.get("hermitian", False) for c in svd_calls] == [False, False, True, True]
 
 
+def _l_square(a, spec):
+    return l_product(a, a, spec)
+
+
+_ALL_OPS = [t_svd, lambda a, spec: svt(a, 1.0, spec), ranks, spectral_norm, nuclear_norm,
+            _l_square, l_transpose, is_orthogonal]
+_ALL_OP_IDS = ["t_svd", "svt", "ranks", "spectral_norm", "nuclear_norm",
+               "l_product", "l_transpose", "is_orthogonal"]
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize(
-        "op",
-        [t_svd, lambda a, spec: svt(a, 1.0, spec), ranks, spectral_norm, nuclear_norm],
-        ids=["t_svd", "svt", "ranks", "spectral_norm", "nuclear_norm"],
-    )
+    @pytest.mark.parametrize("op", _ALL_OPS, ids=_ALL_OP_IDS)
     def test_rejected_before_the_svd(self, op, bad, kind):
         # compute_uv=True never returned on a 3x3 slice holding inf
         a = np.ones((3, 3, 2))
@@ -515,11 +521,7 @@ class TestNonFinite:
             op(a, make_spec(kind, a.shape))
 
     @pytest.mark.parametrize("kind", ["fft", "cprod"])
-    @pytest.mark.parametrize(
-        "op",
-        [t_svd, lambda a, spec: svt(a, 1.0, spec), ranks, spectral_norm, nuclear_norm],
-        ids=["t_svd", "svt", "ranks", "spectral_norm", "nuclear_norm"],
-    )
+    @pytest.mark.parametrize("op", _ALL_OPS, ids=_ALL_OP_IDS)
     def test_overflowing_transform_raises_without_warning(self, op, kind):
         # a finite tensor of 1e308 overflows the fft ("overflow encountered in fft")
         # and the cprod mode products ("overflow encountered in dot")
@@ -529,7 +531,68 @@ class TestNonFinite:
             warnings.simplefilter("error")
             with pytest.raises(LTensorError) as err:
                 op(a, spec)
-        if spec.unitary_scaled or op is t_svd or op is ranks:
+        if spec.unitary_scaled or op in (t_svd, ranks, _l_square, l_transpose, is_orthogonal):
             assert err.type is ParameterError and "NaN or inf" in str(err.value)
         else:
             assert err.type is UnsupportedSpecError
+
+
+class TestZeroSize:
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod"])
+    @pytest.mark.parametrize(
+        "shape, modes", [((0, 3, 2), None), ((3, 0, 2), None), ((3, 3, 0, 2), (4,))],
+        ids=["no-rows", "no-columns", "no-slices"],
+    )
+    def test_ops_return_the_empty_result(self, kind, shape, modes):
+        # a zero-size dim raised numpy's "cannot reshape array of size 0"
+        a = np.ones(shape)
+        spec = make_spec(kind, shape, modes=modes)
+        assert l_product(a, np.ones((shape[1], 4) + shape[2:]), spec).shape == (shape[0], 4) + shape[2:]
+        assert l_transpose(a, spec).shape == (shape[1], shape[0]) + shape[2:]
+        f = t_svd(a, spec)
+        assert f.u.shape[:2] == (shape[0],) * 2 and f.s.shape == shape and f.v.shape[:2] == (shape[1],) * 2
+        assert not f.tube_norms.any()
+        report = ranks(a, spec)
+        assert report.tubal == 0 and not report.multirank.any() and report.average == 0.0
+        if spec.unitary_scaled:
+            assert svt(a, 0.5, spec).shape == shape
+            assert spectral_norm(a, spec) == nuclear_norm(a, spec) == 0.0
+
+
+def _complex_unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+class TestComplexExplicit:
+    """An explicit L may be complex: real inputs then give complex outputs."""
+
+    def test_l_product_is_facewise_in_the_l_domain(self, rng):
+        # real inputs raised NumericConsistencyError: imaginary residual 7.5e-01
+        spec = make_spec("explicit", (2, 3, 3), matrices={3: _complex_unitary(rng, 3)})
+        a, b = rng.standard_normal((2, 3, 3)), rng.standard_normal((3, 2, 3))
+        out = l_product(a, b, spec)
+        expected = apply_l_inv(np.einsum("ijp,jkp->ikp", apply_l(a, spec), apply_l(b, spec)), spec)
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_t_svd_reconstructs(self, rng):
+        a = rng.standard_normal((4, 3, 3, 2))
+        spec = make_spec("explicit", a.shape, matrices={3: _complex_unitary(rng, 3), 4: 2 * np.eye(2)})
+        f = t_svd(a, spec)
+        rebuilt = l_product(l_product(f.u, f.s, spec), l_transpose(f.v, spec), spec)
+        assert fro_norm(rebuilt - a) <= 1e-13 * fro_norm(a)
+        assert is_orthogonal(f.u, spec) and is_orthogonal(f.v, spec)
+
+    def test_identity_tensor(self, rng):
+        spec = make_spec("explicit", (3, 3, 4), matrices={3: _complex_unitary(rng, 4)})
+        a = rng.standard_normal((3, 3, 4))
+        eye = identity_tensor(3, (4,), spec)
+        np.testing.assert_allclose(l_product(a, eye, spec), a, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(l_product(eye, a, spec), a, rtol=0, atol=1e-13)
+
+    def test_the_dft_matrix_gives_the_fft_product_as_complex(self, rng):
+        a, b = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 2, 3))
+        dft = make_spec("explicit", a.shape, matrices={3: build_fourier_matrix(3)})
+        out = l_product(a, b, dft)
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out, l_product(a, b, make_spec("fft", a.shape)), rtol=0, atol=1e-13)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,15 @@ class TestApplyL:
         bad = np.array([1.0 + 2j, 0.5, 0.25]).reshape(1, 1, 3)  # not conj-symmetric
         with pytest.raises(NumericConsistencyError):
             apply_l_inv(bad, spec, assume_real=True)
+
+    def test_imaginary_residual_error_when_the_norms_overflow(self):
+        # the squares of 1e200 overflowed to inf and the residual was dropped unchecked
+        bad = np.full((2, 2, 3), 1e200 + 1e200j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericConsistencyError, match="imaginary residual 7.071e-01"):
+                apply_l_inv(bad, make_spec("fft", bad.shape), assume_real=True)
+            assert apply_l_inv(bad.real + 0j, make_spec("fft", bad.shape), assume_real=True).dtype == float
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_fast_matches_explicit(self, kind, rng):
@@ -240,6 +251,8 @@ class TestSpecConstruction:
             ("fft", (2, 2, 3), None, {3: np.eye(3)}, "only for kind 'explicit'"),
             ("dct", (2, 2, 3), None, {3: np.eye(3)}, "only for kind 'explicit'"),
             ("cprod", (2, 2, 3), None, {3: np.eye(3)}, "only for kind 'explicit'"),
+            ("fft", (2, 2, 0), None, None, "transformed mode 3 has size 0"),
+            ("cprod", (2, 2, 3, 0), (4,), None, "transformed mode 4 has size 0"),
         ],
     )
     def test_make_spec_rejects(self, kind, shape, modes, matrices, message):
