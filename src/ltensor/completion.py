@@ -4,6 +4,11 @@ The iteration alternates a momentum extrapolation, a gradient step on the
 data-fit term (Lipschitz constant 1, so observed entries of the gradient
 point are restored exactly) and a singular-value-thresholding prox step with
 a geometrically decaying shrinkage mu_k = max(nu^k mu_0, mu_bar).
+
+:func:`pga_complete` works in the rep-stack memory order of
+:mod:`ltensor.core`, which is the order :func:`ltensor.linalg.svt` returns:
+it copies m and the mask into that order once, and the momentum point and the
+gradient point live in two buffers reused by every iteration.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import fro_norm, same_shape
+from .core import as_rep_stack, fro_norm, from_rep_stack, same_shape
 from .errors import ParameterError, ShapeError
 from .linalg import svt
 from .transforms import TransformSpec
@@ -155,21 +160,27 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
         raise ParameterError("data holds NaN or inf entries, observed or not")
     mask = np.asarray(mask, dtype=bool)
     zero_observation = fro_norm(project_omega(m, mask)) == 0.0  # also checks the mask shape
+    m, mask = (from_rep_stack(as_rep_stack(t), t.shape[2:]) for t in (m, mask))
     mu0 = cfg.nu * fro_norm(m) if cfg.mu0 is None else float(cfg.mu0)
     mu_bar = cfg.mu_bar_ratio * mu0
 
     x_prev = np.zeros_like(m)
     x_cur = np.zeros_like(m)
+    y, g = np.empty_like(m), np.empty_like(m)
     t_prev, t_cur = 1.0, 1.0
     trace = CompletionTrace()
 
     for k in range(1, cfg.max_iters + 1):
         mu_k = max(cfg.nu**k * mu0, mu_bar)
-        y = x_cur + ((t_prev - 1.0) / t_cur) * (x_cur - x_prev)
-        g = np.where(mask, m, y)
+        # y = x_cur + ((t_prev - 1) / t_cur) (x_cur - x_prev); g = y with m's observed entries
+        np.subtract(x_cur, x_prev, out=y)
+        y *= (t_prev - 1.0) / t_cur
+        y += x_cur
+        np.copyto(g, y)
+        np.copyto(g, m, where=mask)
         x_next = svt(g, mu_k, cfg.spec)
 
-        num = fro_norm(y - x_next)
+        num = fro_norm(np.subtract(y, x_next, out=g))
         den = fro_norm(x_next)
         if den > 0.0:
             rel = num / den

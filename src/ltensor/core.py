@@ -7,9 +7,17 @@ representative matrices.  All index conventions are 1-based at the API level
 notation; flattening of trailing indices is column-major, i.e.
 
     p = k_3 + sum_{i>=4} (k_i - 1) * I_3*...*I_{i-1}.
+
+Memory order: transform-domain work runs on the C-contiguous (P, I_1, I_2)
+rep stack, which is the C-contiguous (I_N, ..., I_3, I_1, I_2) block array
+(mode m >= 3 is its axis N - m).  :func:`from_rep_stack` returns a view of
+its stack, so a tensor in this order goes back through :func:`as_rep_stack`
+without a copy; a tensor in any other order costs one copy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,8 +59,19 @@ def inner_product(a, b):
 
 
 def fro_norm(a) -> float:
-    """Frobenius norm: sqrt of the sum of squared entry moduli."""
-    return float(np.linalg.norm(np.asarray(a).ravel()))
+    """Frobenius norm: sqrt of the sum of squared entry moduli.
+
+    The entries are summed in memory order, so no layout is copied.  When the
+    squares overflow but every entry is finite, the norm of a / max|a| is
+    scaled back; it is inf only when the norm itself exceeds the float range.
+    """
+    flat = np.asarray(a).ravel("K")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(flat))
+        if norm == math.inf and np.isfinite(flat).all():
+            big = max(float(np.abs(flat.real).max()), float(np.abs(flat.imag).max()))
+            norm = big * float(np.linalg.norm(flat / big))
+    return norm
 
 
 def num_rep(dims) -> int:
@@ -83,23 +102,27 @@ def rep_matrix(x, p: int) -> np.ndarray:
 
 
 def as_rep_stack(x) -> np.ndarray:
-    """All representative matrices as a (P, I_1, I_2) array in p-order."""
+    """All representative matrices as a C-contiguous (P, I_1, I_2) array in p-order.
+
+    A view when x is in rep-stack memory order, else one copy.
+    """
     x = _as_tensor(x)
-    flat = x.reshape(x.shape[0], x.shape[1], num_rep(x.shape), order="F")
-    return np.moveaxis(flat, 2, 0)
+    block = np.ascontiguousarray(x.transpose(tuple(range(x.ndim - 1, 1, -1)) + (0, 1)))
+    return block.reshape(num_rep(x.shape), x.shape[0], x.shape[1])
 
 
 def from_rep_stack(stack, trailing_dims) -> np.ndarray:
-    """Reassemble a tensor from its (P, I_1, I_2) representative stack."""
+    """Reassemble a tensor from its (P, I_1, I_2) representative stack, as a view."""
     stack = np.asarray(stack)
     P, i1, i2 = stack.shape
-    if P != num_rep((i1, i2) + tuple(trailing_dims)):
+    trailing = tuple(int(d) for d in trailing_dims)
+    if P != num_rep((i1, i2) + trailing):
         raise ShapeError(
-            f"stack holds {P} slices, trailing dims {tuple(trailing_dims)} need "
-            f"{num_rep((i1, i2) + tuple(trailing_dims))}"
+            f"stack holds {P} slices, trailing dims {trailing} need {num_rep((i1, i2) + trailing)}"
         )
-    flat = np.moveaxis(stack, 0, 2)
-    return flat.reshape((i1, i2) + tuple(trailing_dims), order="F")
+    block = stack.reshape(trailing[::-1] + (i1, i2))
+    n = block.ndim
+    return block.transpose((n - 2, n - 1) + tuple(range(n - 3, -1, -1)))
 
 
 def mode_n_unfold(x, n: int) -> np.ndarray:
@@ -123,7 +146,11 @@ def mode_n_fold(m, n: int, dims) -> np.ndarray:
 
 
 def mode_n_product(x, u, n: int) -> np.ndarray:
-    """x x_n u: multiply every mode-n fiber of x by the matrix u."""
+    """x x_n u: multiply every mode-n fiber of x by the matrix u.
+
+    One ``np.matmul`` of u with x viewed as (I_1*...*I_{n-1}, I_n, I_{n+1}*...*I_N);
+    the view is free for a C-contiguous x.
+    """
     x = _as_tensor(x)
     u = np.atleast_2d(np.asarray(u))
     if not 1 <= n <= x.ndim:
@@ -132,7 +159,9 @@ def mode_n_product(x, u, n: int) -> np.ndarray:
         raise ShapeError(
             f"matrix with {u.shape[1]} columns cannot act on mode of size {x.shape[n - 1]}"
         )
-    return np.moveaxis(np.tensordot(u, x, axes=(1, n - 1)), 0, n - 1)
+    lead, trail = x.shape[: n - 1], x.shape[n:]
+    fibers = x.reshape(math.prod(lead), x.shape[n - 1], math.prod(trail))
+    return np.matmul(u, fibers).reshape(lead + (u.shape[0],) + trail)
 
 
 def facewise_product(a, b) -> np.ndarray:

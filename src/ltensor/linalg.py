@@ -3,7 +3,9 @@
 All operations transform to the L-domain, act slice-wise on the P
 representative matrices (batched over p in fixed ascending order) and
 transform back.  Every op enters through :func:`_forward`, which raises
-``ParameterError`` on NaN or inf in the input or from an overflowed transform.
+``ParameterError`` on NaN or inf in the input or from an overflowed transform;
+:func:`_slicewise` checks the slice-wise results the same way.  The stacks are
+views of the transforms' rep-order outputs (see :mod:`ltensor.core`).
 Real inputs under fft, dct or cprod come back real via the imaginary-residual
 contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
 complex and so may its outputs.  A zero-size first or second dim gives the
@@ -34,14 +36,17 @@ _GRAM_MIN_TAU = 1e-6
 _GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
 
 
+def _finite(stack):
+    if not np.isfinite(stack).all():
+        raise ParameterError("transform-domain slices hold NaN or inf (non-finite input or overflow)")
+    return stack
+
+
 def _forward(a, spec):
     """L(a) as a (P, I_1, I_2) stack, the one way into the L-domain: overflow is silenced
     here and refused with NaN and inf input, so inf never reaches LAPACK's SVD (it hung)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        hat = as_rep_stack(apply_l(a, spec))
-    if not np.isfinite(hat).all():
-        raise ParameterError("transform-domain slices hold NaN or inf (non-finite input or overflow)")
-    return hat
+        return _finite(as_rep_stack(apply_l(a, spec)))
 
 
 def _real(spec, *tensors) -> bool:
@@ -52,16 +57,19 @@ def _real(spec, *tensors) -> bool:
 def _slicewise(fn, spec, *tensors):
     """L^{-1}(fn(L(t_1), L(t_2), ...)) with fn acting on (P, I_1, I_2) stacks.
 
-    ``fn`` may return a tuple of stacks; each is transformed back.
+    ``fn`` may return a tuple of stacks; each is checked like a forward stack,
+    so an overflow in ``fn`` raises ``ParameterError`` too, and transformed back.
     """
     # The forward stacks stay referenced until the inverse is done: freeing
     # them first made a dct solve take 1.5x the minor page faults.
     hats = [_forward(t, spec) for t in tensors]
-    out = fn(*hats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fn(*hats)
     real = _real(spec, *tensors)
 
-    def back(stack):
-        return apply_l_inv(from_rep_stack(stack, tensors[0].shape[2:]), spec, assume_real=real)
+    def back(stack):  # fn returns new stacks or views of hats, so the inverse may overwrite them
+        stack = from_rep_stack(_finite(stack), tensors[0].shape[2:])
+        return apply_l_inv(stack, spec, assume_real=real, overwrite=True)
 
     return tuple(map(back, out)) if isinstance(out, tuple) else back(out)
 
@@ -204,8 +212,7 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     def shrink(hat):
         tall = hat.shape[1] > hat.shape[2]
         h = _conj_transpose(hat) if tall else hat
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = np.matmul(h, _conj_transpose(h))
+        gram = np.matmul(h, _conj_transpose(h))  # overflow is silenced by _slicewise
         # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
         fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max(initial=0.0))
         if not (_GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau):

@@ -14,6 +14,13 @@ with M_i M_i* = s_i I, so that ||a||_F^2 = alpha^{-1} ||L(a)||_F^2 for
 unitary-scaled kinds (alpha = prod I_i for fft, 1 for dct).  One Gram test
 per M_i finds s_i for the matrix kinds; alpha is None if one fails (cprod on
 a mode of size >= 2), which disables the nuclear-norm/SVT theory.
+
+Every transform runs on the rep-stack block array (see :mod:`ltensor.core`)
+and returns a tensor in that memory order.  fft and dct transform all their
+modes in one multi-axis ``scipy.fft`` call (``fftn``/``dctn`` and inverses),
+in double precision; the results differ from single-axis ``np.fft`` passes by
+rounding.  The matrix kinds take one :func:`ltensor.core.mode_n_product` per
+mode.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import partial
 import numpy as np
 import scipy.fft
 
-from .core import mode_n_product
+from .core import as_rep_stack, fro_norm, from_rep_stack, mode_n_product, num_rep
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
@@ -168,29 +175,35 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     return TransformSpec(kind, modes, sizes, alpha, mats, inverses)
 
 
-# Fast (forward, inverse) pair per kind; other kinds use the mode matrices.
+# Fast (forward, inverse) pair per kind, each one multi-axis scipy.fft call;
+# other kinds use the mode matrices.
 _FAST = {
-    "fft": (np.fft.fft, np.fft.ifft),
-    "dct": (partial(scipy.fft.dct, type=2, norm="ortho"), partial(scipy.fft.idct, type=2, norm="ortho")),
+    "fft": (scipy.fft.fftn, scipy.fft.ifftn),
+    "dct": (partial(scipy.fft.dctn, type=2, norm="ortho"), partial(scipy.fft.idctn, type=2, norm="ortho")),
 }
 
 
-def _mode_loop(x, spec, inverse):
-    out = np.asarray(x)
+def _mode_loop(x, spec, inverse, overwrite=False):
+    x = np.asarray(x)
     for mode, size in zip(spec.modes, spec.sizes):
-        if mode > out.ndim or out.shape[mode - 1] != size:
+        if mode > x.ndim or x.shape[mode - 1] != size:
             raise TransformError(
-                f"tensor of shape {out.shape} does not match spec modes {spec.modes} "
+                f"tensor of shape {x.shape} does not match spec modes {spec.modes} "
                 f"with sizes {spec.sizes}"
             )
+    # The rep stack viewed as the (I_N, ..., I_3, I_1, I_2) block array: mode m is axis N - m.
+    trailing = x.shape[2:]
+    block = as_rep_stack(x).reshape(trailing[::-1] + x.shape[:2])
     fast = _FAST.get(spec.kind)
-    for mode in reversed(spec.modes) if inverse else spec.modes:
-        if fast is not None:
-            out = fast[inverse](out, axis=mode - 1)
-        else:
+    if fast is not None:
+        # scipy.fft keeps single precision; L is computed in double like every other kind
+        block = block.astype(np.promote_types(block.dtype, np.float64), copy=False)
+        block = fast[inverse](block, axes=[x.ndim - m for m in spec.modes], overwrite_x=overwrite)
+    else:
+        for mode in reversed(spec.modes) if inverse else spec.modes:
             mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
-            out = mode_n_product(out, mat, mode)
-    return out
+            block = mode_n_product(block, mat, x.ndim - mode + 1)
+    return from_rep_stack(block.reshape((num_rep(x.shape),) + x.shape[:2]), trailing)
 
 
 def apply_l(x, spec: TransformSpec) -> np.ndarray:
@@ -198,24 +211,21 @@ def apply_l(x, spec: TransformSpec) -> np.ndarray:
     return _mode_loop(x, spec, inverse=False)
 
 
-def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False) -> np.ndarray:
+def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite: bool = False) -> np.ndarray:
     """L^{-1}(xhat): inverse mode products in reverse mode order.
 
     With ``assume_real`` the source is known real: the imaginary residual must
     stay below 1e-9 relative and is discarded; larger residuals signal a
-    corrupted transform-domain tensor.
+    corrupted transform-domain tensor.  xhat is left unchanged unless
+    ``overwrite`` hands it over: fft and dct may then transform in its memory.
     """
-    out = _mode_loop(xhat, spec, inverse=True)
+    out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite)
     if assume_real and np.iscomplexobj(out):
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm, imag = np.linalg.norm(out.ravel()), np.linalg.norm(out.imag.ravel())
-            if not np.isfinite(norm):  # the squares overflowed: measure out / max|out|
-                scaled = out / np.abs(out).max()
-                norm, imag = np.linalg.norm(scaled.ravel()), np.linalg.norm(scaled.imag.ravel())
-        if norm > 0 and imag / norm > _IMAG_TOL:
+        norm, imag = fro_norm(out), fro_norm(out.imag)
+        if norm > 0 and not imag / norm <= _IMAG_TOL:  # inf / inf is NaN: refused too
             raise NumericConsistencyError(
                 f"imaginary residual {imag / norm:.3e} exceeds {_IMAG_TOL:.0e}; "
                 "transform-domain tensor is not the image of a real tensor"
             )
-        out = out.real.copy()
+        out = out.real.copy(order="K")
     return out

@@ -13,7 +13,7 @@ from ltensor.completion import (
     rse,
     sample_mask,
 )
-from ltensor.core import fro_norm
+from ltensor.core import as_rep_stack, fro_norm, from_rep_stack
 from ltensor.errors import ParameterError, ShapeError, UnsupportedSpecError
 from ltensor.linalg import l_product
 from ltensor.transforms import make_spec
@@ -288,6 +288,23 @@ class TestPgaComplete:
         mask[index] = observed
         with pytest.raises(ParameterError, match=message):
             pga_complete(m, mask, CompletionConfig(spec=spec, max_iters=3))
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_any_input_layout_gives_the_same_result_and_is_left_unchanged(self, kind):
+        m, spec = low_rank((8, 7, 3, 2), 2, 5, kind=kind)
+        mask = sample_mask(m.shape, 0.5, 5)
+        cfg = CompletionConfig(spec=spec, max_iters=8, reimpose_observed=True)
+        results = []
+        for order in (np.ascontiguousarray, np.asfortranarray, lambda t: from_rep_stack(as_rep_stack(t), t.shape[2:])):
+            m_in, mask_in = order(m), order(mask)
+            m_kept, mask_kept = m_in.copy(), mask_in.copy()
+            out, trace = pga_complete(m_in, mask_in, cfg)
+            np.testing.assert_array_equal(m_in, m_kept)
+            np.testing.assert_array_equal(mask_in, mask_kept)
+            results.append((out, [r.rel_change for r in trace.records]))
+        for out, rels in results[1:]:
+            np.testing.assert_array_equal(out, results[0][0])
+            assert rels == results[0][1]
 
     def test_shape_mismatch(self):
         spec = make_spec("fft", (2, 2, 2))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,22 @@ class TestFroNorm:
             x = np.random.default_rng(_).standard_normal(random_shape(rng))
             assert np.isclose(fro_norm(x) ** 2, inner_product(x, x), rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_squares_that_overflow(self, rng, dtype):
+        # np.linalg.norm of 1e200 entries overflowed to inf with a numpy warning
+        x = rng.standard_normal((3, 3, 2)).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isclose(fro_norm(1e200 * x), 1e200 * fro_norm(x), rtol=1e-14)
+            assert fro_norm(np.full(4, 1e308)) == np.inf  # the norm itself is out of range
+            assert fro_norm(np.array([1e200, np.inf])) == np.inf
+            assert np.isnan(fro_norm(np.array([1e200, np.nan])))
+
+    def test_any_memory_order(self, rng):
+        x = rng.standard_normal((3, 4, 2, 2))
+        for view in (np.asfortranarray(x), from_rep_stack(as_rep_stack(x), x.shape[2:]), x[:, ::2]):
+            assert np.isclose(fro_norm(view), np.linalg.norm(np.ravel(view)), rtol=1e-14)
+
 
 class TestUnfold:
     def test_mode1_sequential(self):
@@ -124,6 +142,20 @@ class TestModeNProduct:
         with pytest.raises(ShapeError):
             mode_n_product(np.ones((2, 2, 3)), np.ones((2, 2)), 3)
 
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 2), (1, 4, 1, 3), (2, 0, 3, 2), (3, 2, 0)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_tensordot_on_every_mode(self, shape, kind, rng):
+        x = np.asfortranarray(rng.standard_normal(shape))  # not C-contiguous: the reshape copies
+        for n in range(1, len(shape) + 1):
+            for rows in (1, shape[n - 1], 5):  # rectangular and square u
+                u = rng.standard_normal((rows, shape[n - 1]))
+                if kind == "complex":
+                    u = u + 1j * rng.standard_normal(u.shape)
+                expected = np.moveaxis(np.tensordot(u, x, axes=(1, n - 1)), 0, n - 1)
+                out = mode_n_product(x, u, n)
+                assert out.shape == expected.shape and out.dtype == expected.dtype
+                np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-13)
+
 
 class TestRepMatrix:
     def test_third_order_frontal_slice(self, rng):
@@ -163,6 +195,19 @@ class TestRepMatrix:
             rebuilt[(slice(None), slice(None)) + tuple(k - 1 for k in multi)] = rep_matrix(x, p)
         np.testing.assert_array_equal(rebuilt, x)
 
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (2, 3, 4, 1, 3)])
+    def test_rep_stack_is_c_contiguous_and_free_in_rep_order(self, shape, rng):
+        x = rng.standard_normal(shape)
+        stack = as_rep_stack(x)
+        assert stack.flags.c_contiguous
+        for p in range(1, num_rep(shape) + 1):
+            np.testing.assert_array_equal(stack[p - 1], rep_matrix(x, p))
+        tensor = from_rep_stack(stack, shape[2:])
+        np.testing.assert_array_equal(tensor, x)
+        assert np.shares_memory(tensor, stack)
+        again = as_rep_stack(tensor)  # a tensor in rep order goes back without a copy
+        assert again.flags.c_contiguous and np.shares_memory(again, stack)
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2, 2), (3, 3, 0)])
     def test_zero_size_stack_round_trip(self, shape):

@@ -208,6 +208,15 @@ class TestTSvd:
         assert np.all(np.diff(f.tube_norms) <= 1e-12)
         assert np.isclose(fro_norm(a) ** 2, (f.tube_norms**2).sum(), rtol=1e-10)
 
+    def test_tube_norms_of_huge_entries(self, rng):
+        # fro_norm overflowed: tube_norms read inf although s was finite
+        a = rng.standard_normal((3, 3, 2))
+        spec = make_spec("fft", a.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = t_svd(1e200 * a, spec).tube_norms
+        np.testing.assert_allclose(huge, 1e200 * t_svd(a, spec).tube_norms, rtol=1e-12)
+
     def test_f_diagonal(self, rng):
         a = rng.standard_normal((3, 3, 2, 2))
         spec = make_spec("dct", a.shape)
@@ -535,6 +544,16 @@ class TestNonFinite:
             assert err.type is ParameterError and "NaN or inf" in str(err.value)
         else:
             assert err.type is UnsupportedSpecError
+
+
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod"])
+    def test_overflowing_slicewise_result_raises_without_warning(self, kind, rng):
+        # finite transforms whose slice products overflow came back as inf
+        a = 1e200 * rng.standard_normal((3, 3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="NaN or inf"):
+                l_product(a, a, make_spec(kind, a.shape))
 
 
 class TestZeroSize:

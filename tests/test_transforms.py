@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ltensor.core import fro_norm, inner_product, mode_n_product
+from ltensor.core import as_rep_stack, fro_norm, inner_product, mode_n_product
 from ltensor.errors import NumericConsistencyError, ParameterError, TransformError
 from ltensor.transforms import (
     apply_l,
@@ -144,12 +144,75 @@ class TestApplyL:
         rhs = beta * apply_l(a, spec) + apply_l(b, spec)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    @pytest.mark.parametrize(
+        "shape, modes",
+        [((2, 3, 4, 1, 3), (3, 5)), ((2, 3, 4, 1, 3), (4, 5)), ((3, 2, 2, 3, 2), None), ((2, 2, 1, 3), (3,))],
+    )
+    def test_fast_kinds_match_their_matrices_on_mode_subsets(self, kind, shape, modes, rng):
+        # one multi-axis scipy.fft call against one tensordot per mode with the DFT/DCT matrix
+        spec = make_spec(kind, shape, modes=modes)
+        build = build_fourier_matrix if kind == "fft" else build_dct_matrix
+        x = rng.standard_normal(shape)
+        expected = x.astype(complex) if kind == "fft" else x
+        for m in spec.modes:
+            expected = np.moveaxis(np.tensordot(build(shape[m - 1]), expected, axes=(1, m - 1)), 0, m - 1)
+        xhat = apply_l(x, spec)
+        np.testing.assert_allclose(xhat, expected, rtol=1e-12, atol=1e-12)
+        back = expected
+        for m in spec.modes:
+            inv = np.linalg.inv(build(shape[m - 1]))
+            back = np.moveaxis(np.tensordot(inv, back, axes=(1, m - 1)), 0, m - 1)
+        np.testing.assert_allclose(apply_l_inv(xhat, spec), back, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(apply_l_inv(xhat, spec, assume_real=True), x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
+    def test_rep_stack_of_the_transform_is_a_free_view(self, kind, rng):
+        shape = (3, 4, 2, 3)
+        spec = _spec_of_kind(kind, shape, rng)
+        x = rng.standard_normal(shape)
+        for out in (apply_l(x, spec), apply_l_inv(x, spec), apply_l_inv(apply_l(x, spec), spec, assume_real=True)):
+            stack = as_rep_stack(out)
+            assert stack.flags.c_contiguous and np.shares_memory(stack, out)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
+    @pytest.mark.parametrize("assume_real", [False, True])
+    def test_apply_l_inv_leaves_its_input(self, kind, assume_real, rng):
+        shape = (3, 4, 2, 3)
+        spec = _spec_of_kind(kind, shape, rng)
+        xhat = apply_l(rng.standard_normal(shape), spec)  # in rep order: read without a copy
+        kept = xhat.copy()
+        out = apply_l_inv(xhat, spec, assume_real=assume_real and kind != "explicit")
+        np.testing.assert_array_equal(xhat, kept)
+        # handing the input over gives the same result
+        owned = apply_l_inv(xhat, spec, assume_real=assume_real and kind != "explicit", overwrite=True)
+        np.testing.assert_array_equal(owned, out)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_single_precision_is_transformed_in_double(self, kind, rng):
+        # scipy.fft keeps float32; its imaginary residual (~1e-8) would fail the 1e-9 check
+        x = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
+        spec = make_spec(kind, x.shape)
+        xhat = apply_l(x, spec)
+        assert xhat.dtype == (complex if kind == "fft" else float)
+        np.testing.assert_allclose(xhat, apply_l(x.astype(float), spec), rtol=1e-14, atol=1e-13)
+        back = apply_l_inv(xhat, spec, assume_real=True)
+        assert back.dtype == float
+        np.testing.assert_allclose(back, x, rtol=1e-12, atol=1e-12)
+
     def test_restricted_modes(self, rng):
         x = rng.standard_normal((2, 3, 4, 2))
         spec = make_spec("fft", x.shape, modes=(3,))
         expected = np.fft.fft(x, axis=2)
         np.testing.assert_allclose(apply_l(x, spec), expected, atol=1e-12)
         assert spec.alpha == 4.0
+
+
+def _spec_of_kind(kind, shape, rng):
+    if kind != "explicit":
+        return make_spec(kind, shape)
+    mats = {m: rng.standard_normal((shape[m - 1],) * 2) + 3 * np.eye(shape[m - 1]) for m in range(3, len(shape) + 1)}
+    return make_spec("explicit", shape, matrices=mats)
 
 
 class TestNormIdentities:
