@@ -6,9 +6,10 @@ point are restored exactly) and a singular-value-thresholding prox step with
 a geometrically decaying shrinkage mu_k = max(nu^k mu_0, mu_bar).
 
 :func:`pga_complete` works in the rep-stack memory order of
-:mod:`ltensor.core`, which is the order :func:`ltensor.linalg.svt` returns:
-it copies m and the mask into that order once, and the momentum point and the
-gradient point live in two buffers reused by every iteration.
+:mod:`ltensor.core`, the order :func:`ltensor.linalg.svt` returns: it copies
+m and the mask into that order once and reuses the previous iterate's memory
+for the momentum point and then for the stopping test's difference, so an
+iteration allocates only the gradient point and svt's result.
 """
 
 from __future__ import annotations
@@ -166,21 +167,19 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
 
     x_prev = np.zeros_like(m)
     x_cur = np.zeros_like(m)
-    y, g = np.empty_like(m), np.empty_like(m)
     t_prev, t_cur = 1.0, 1.0
     trace = CompletionTrace()
 
     for k in range(1, cfg.max_iters + 1):
         mu_k = max(cfg.nu**k * mu0, mu_bar)
-        # y = x_cur + ((t_prev - 1) / t_cur) (x_cur - x_prev); g = y with m's observed entries
-        np.subtract(x_cur, x_prev, out=y)
+        # y = x_cur + ((t_prev - 1) / t_cur) (x_cur - x_prev), written over x_prev, its last use
+        y = np.subtract(x_cur, x_prev, out=x_prev)
         y *= (t_prev - 1.0) / t_cur
         y += x_cur
-        np.copyto(g, y)
-        np.copyto(g, m, where=mask)
+        g = np.where(mask, m, y)
         x_next = svt(g, mu_k, cfg.spec)
 
-        num = fro_norm(np.subtract(y, x_next, out=g))
+        num = fro_norm(np.subtract(y, x_next, out=y))
         den = fro_norm(x_next)
         if den > 0.0:
             rel = num / den
