@@ -13,15 +13,59 @@ rep stack, which is the C-contiguous (I_N, ..., I_3, I_1, I_2) block array
 (mode m >= 3 is its axis N - m).  :func:`from_rep_stack` returns a view of
 its stack, so a tensor in this order goes back through :func:`as_rep_stack`
 without a copy; a tensor in any other order costs one copy.
+
+Workspace: :func:`scratch` hands out per-thread buffers by role for
+intermediates that live and die inside one *_L op (rep-order copies, mode
+products, L-domain stacks), so repeat calls reuse memory instead of mapping
+and faulting fresh pages.  A role's buffer grows to its largest request and
+is kept for the thread's lifetime; the buffers of one thread hold at most
+``WORKSPACE_CAP`` bytes, and a request past that cap is a fresh array.  No
+public function returns workspace memory or a view of it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .errors import ModeError, ShapeError
+
+
+WORKSPACE_CAP = 16 << 20  # bytes of workspace per thread
+_workspace = threading.local()
+
+
+def _buffers() -> dict:
+    """This thread's workspace: role -> uint8 buffer."""
+    if not hasattr(_workspace, "buffers"):
+        _workspace.buffers = {}
+    return _workspace.buffers
+
+
+def scratch(role, shape, dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array in this thread's workspace buffer for ``role``.
+
+    The next request for the same role in this thread reuses the memory, so the
+    array must die inside the op that asked for it.  A request that would take
+    the workspace past ``WORKSPACE_CAP`` gets a fresh array instead.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buffers = _buffers()
+    buf = buffers.get(role)
+    if buf is None or buf.nbytes < nbytes:
+        others = sum(b.nbytes for r, b in buffers.items() if r != role)
+        if others + nbytes > WORKSPACE_CAP:
+            return np.empty(shape, dtype)
+        buf = buffers[role] = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def in_workspace(a) -> bool:
+    """Whether ``a`` may share memory with this thread's workspace."""
+    return any(np.may_share_memory(a, buf) for buf in _buffers().values())
 
 
 def _as_tensor(x) -> np.ndarray:
@@ -76,7 +120,7 @@ def fro_norm(a) -> float:
 
 def num_rep(dims) -> int:
     """Number P of representative matrices for the given dimension vector."""
-    return int(np.prod(dims[2:], dtype=np.int64)) if len(dims) > 2 else 1
+    return int(math.prod(dims[2:]))
 
 
 def rep_index_to_multi(p: int, dims) -> tuple:
@@ -145,11 +189,12 @@ def mode_n_fold(m, n: int, dims) -> np.ndarray:
     return np.moveaxis(m.reshape((dims[n - 1],) + rest, order="F"), 0, n - 1)
 
 
-def mode_n_product(x, u, n: int) -> np.ndarray:
+def mode_n_product(x, u, n: int, out=None) -> np.ndarray:
     """x x_n u: multiply every mode-n fiber of x by the matrix u.
 
     One ``np.matmul`` of u with x viewed as (I_1*...*I_{n-1}, I_n, I_{n+1}*...*I_N);
-    the view is free for a C-contiguous x.
+    the view is free for a C-contiguous x.  ``out``, a C-contiguous array of
+    the result's shape and dtype, receives the result.
     """
     x = _as_tensor(x)
     u = np.atleast_2d(np.asarray(u))
@@ -161,7 +206,13 @@ def mode_n_product(x, u, n: int) -> np.ndarray:
         )
     lead, trail = x.shape[: n - 1], x.shape[n:]
     fibers = x.reshape(math.prod(lead), x.shape[n - 1], math.prod(trail))
-    return np.matmul(u, fibers).reshape(lead + (u.shape[0],) + trail)
+    shape = lead + (u.shape[0],) + trail
+    if out is None:
+        return np.matmul(u, fibers).reshape(shape)
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous array of shape {shape}, got {out.shape}")
+    np.matmul(u, fibers, out=out.reshape(fibers.shape[0], u.shape[0], fibers.shape[2]))
+    return out
 
 
 def facewise_product(a, b) -> np.ndarray:

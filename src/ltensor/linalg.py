@@ -4,8 +4,12 @@ All operations transform to the L-domain, act slice-wise on the P
 representative matrices (batched over p in fixed ascending order) and
 transform back.  Every op enters through :func:`_forward`, which raises
 ``ParameterError`` on NaN or inf in the input or from an overflowed transform;
-:func:`_slicewise` checks the slice-wise results the same way.  The stacks are
-views of the transforms' rep-order outputs (see :mod:`ltensor.core`).
+:func:`_slicewise` checks the slice-wise results and the inverse transforms'
+results the same way.  The stacks are views of the transforms' rep-order
+outputs (see :mod:`ltensor.core`).  :func:`l_product`'s facewise product and,
+under the matrix kinds, the forward stacks (one workspace role per operand)
+live in the calling thread's workspace; they die inside the op, and every
+result is a new array.
 Real inputs under fft, dct or cprod come back real via the imaginary-residual
 contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
 complex and so may its outputs.  A zero-size first or second dim gives the
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_rep_stack, fro_norm, from_rep_stack, num_rep, product_operands
+from .core import as_rep_stack, fro_norm, from_rep_stack, num_rep, product_operands, scratch
 from .errors import ParameterError, ShapeError
 from .transforms import TransformSpec, apply_l, apply_l_inv
 
@@ -36,17 +40,18 @@ _GRAM_MIN_TAU = 1e-6
 _GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _finite(stack):
+def _finite(stack, what="transform-domain slices"):
     if not np.isfinite(stack).all():
-        raise ParameterError("transform-domain slices hold NaN or inf (non-finite input or overflow)")
+        raise ParameterError(f"{what} hold NaN or inf (non-finite input or overflow)")
     return stack
 
 
-def _forward(a, spec):
+def _forward(a, spec, slot=0):
     """L(a) as a (P, I_1, I_2) stack, the one way into the L-domain: overflow is silenced
-    here and refused with NaN and inf input, so inf never reaches LAPACK's SVD (it hung)."""
+    here and refused with NaN and inf input, so inf never reaches LAPACK's SVD (it hung).
+    The stack lives in workspace role ``("forward", slot)`` under the matrix kinds."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(as_rep_stack(apply_l(a, spec)))
+        return _finite(as_rep_stack(apply_l(a, spec, _scratch=("forward", slot))))
 
 
 def _real(spec, *tensors) -> bool:
@@ -58,25 +63,32 @@ def _slicewise(fn, spec, *tensors):
     """L^{-1}(fn(L(t_1), L(t_2), ...)) with fn acting on (P, I_1, I_2) stacks.
 
     ``fn`` may return a tuple of stacks; each is checked like a forward stack,
-    so an overflow in ``fn`` raises ``ParameterError`` too, and transformed back.
+    so an overflow in ``fn`` raises ``ParameterError`` too, and transformed
+    back; an inverse that overflows raises it as well.
     """
     # The forward stacks stay referenced until the inverse is done: freeing
     # them first made a dct solve take 1.5x the minor page faults.
-    hats = [_forward(t, spec) for t in tensors]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = fn(*hats)
+    hats = [_forward(t, spec, slot) for slot, t in enumerate(tensors)]
     real = _real(spec, *tensors)
 
-    def back(stack):  # fn returns new stacks or views of hats, so the inverse may overwrite them
+    def back(stack):  # new stacks or views of hats: the inverse may overwrite those not in the workspace
         stack = from_rep_stack(_finite(stack), tensors[0].shape[2:])
-        return apply_l_inv(stack, spec, assume_real=real, overwrite=True)
+        return _finite(apply_l_inv(stack, spec, assume_real=real, overwrite=True), "inverse-transformed results")
 
-    return tuple(map(back, out)) if isinstance(out, tuple) else back(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fn(*hats)
+        return tuple(map(back, out)) if isinstance(out, tuple) else back(out)
+
+
+def _facewise(x, y):
+    """x^p y^p for every slice p, into the workspace: the stack dies inside l_product."""
+    out = scratch("facewise", x.shape[:2] + y.shape[2:], np.result_type(x, y))
+    return np.matmul(x, y, out=out)
 
 
 def l_product(a, b, spec: TransformSpec) -> np.ndarray:
     """a *_L b = L^{-1}(L(a) facewise L(b))."""
-    return _slicewise(np.matmul, spec, *product_operands(a, b))
+    return _slicewise(_facewise, spec, *product_operands(a, b))
 
 
 def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
@@ -88,7 +100,8 @@ def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
 
 
 def _conj_transpose(stack):
-    return np.conj(np.swapaxes(stack, 1, 2))
+    """The conjugate transpose of every slice; a view for a real stack."""
+    return np.swapaxes(stack, 1, 2).conj()
 
 
 def l_transpose(a, spec: TransformSpec) -> np.ndarray:

@@ -20,7 +20,9 @@ and returns a tensor in that memory order.  fft and dct transform all their
 modes in one multi-axis ``scipy.fft`` call (``fftn``/``dctn`` and inverses),
 in double precision; the results differ from single-axis ``np.fft`` passes by
 rounding.  The matrix kinds take one :func:`ltensor.core.mode_n_product` per
-mode.
+mode: the rep-order copy of the input and every product but the last go to
+two workspace buffers (see :mod:`ltensor.core`) in turn, and the last product
+to a new array, so results never share memory with the workspace.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import partial
 import numpy as np
 import scipy.fft
 
-from .core import as_rep_stack, fro_norm, from_rep_stack, mode_n_product, num_rep
+from .core import as_rep_stack, fro_norm, from_rep_stack, in_workspace, mode_n_product, num_rep, scratch
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
@@ -183,7 +185,11 @@ _FAST = {
 }
 
 
-def _mode_loop(x, spec, inverse, overwrite=False):
+# The two workspace roles the matrix kinds' mode products alternate between.
+_STEPS = ("transforms.step0", "transforms.step1")
+
+
+def _mode_loop(x, spec, inverse, overwrite=False, role=None):
     x = np.asarray(x)
     for mode, size in zip(spec.modes, spec.sizes):
         if mode > x.ndim or x.shape[mode - 1] != size:
@@ -193,22 +199,42 @@ def _mode_loop(x, spec, inverse, overwrite=False):
             )
     # The rep stack viewed as the (I_N, ..., I_3, I_1, I_2) block array: mode m is axis N - m.
     trailing = x.shape[2:]
-    block = as_rep_stack(x).reshape(trailing[::-1] + x.shape[:2])
     fast = _FAST.get(spec.kind)
-    if fast is not None:
+    if not spec.modes:  # L is the identity; the result is still a new array
+        block = as_rep_stack(x).astype(np.promote_types(x.dtype, np.float64) if fast else x.dtype)
+    elif fast is not None:
+        block = as_rep_stack(x).reshape(trailing[::-1] + x.shape[:2])
         # scipy.fft keeps single precision; L is computed in double like every other kind
         block = block.astype(np.promote_types(block.dtype, np.float64), copy=False)
+        # scipy may return its input's memory when overwriting: never overwrite the workspace
+        overwrite = overwrite and not in_workspace(block)
         block = fast[inverse](block, axes=[x.ndim - m for m in spec.modes], overwrite_x=overwrite)
     else:
-        for mode in reversed(spec.modes) if inverse else spec.modes:
+        block = x.transpose(tuple(range(x.ndim - 1, 1, -1)) + (0, 1))
+        if not block.flags.c_contiguous:
+            copy = scratch(_STEPS[1], block.shape, block.dtype)
+            np.copyto(copy, block)
+            block = copy
+        modes = tuple(reversed(spec.modes)) if inverse else spec.modes
+        for i, mode in enumerate(modes):
             mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
-            block = mode_n_product(block, mat, x.ndim - mode + 1)
+            dtype = np.result_type(block, mat)
+            if i < len(modes) - 1:
+                out = scratch(_STEPS[i % 2], block.shape, dtype)
+            else:
+                out = np.empty(block.shape, dtype) if role is None else scratch(role, block.shape, dtype)
+            block = mode_n_product(block, mat, x.ndim - mode + 1, out=out)
     return from_rep_stack(block.reshape((num_rep(x.shape),) + x.shape[:2]), trailing)
 
 
-def apply_l(x, spec: TransformSpec) -> np.ndarray:
-    """L(x): successive mode products with M_i over spec.modes (fast transforms for fft/dct)."""
-    return _mode_loop(x, spec, inverse=False)
+def apply_l(x, spec: TransformSpec, *, _scratch=None) -> np.ndarray:
+    """L(x): successive mode products with M_i over spec.modes (fast transforms for fft/dct).
+
+    The result is a new array.  ``_scratch`` is internal: a workspace role
+    that receives the matrix kinds' last product instead, for a caller whose
+    stack dies inside its own op.
+    """
+    return _mode_loop(x, spec, inverse=False, role=_scratch)
 
 
 def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite: bool = False) -> np.ndarray:
@@ -217,7 +243,9 @@ def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite:
     With ``assume_real`` the source is known real: the imaginary residual must
     stay below 1e-9 relative and is discarded; larger residuals signal a
     corrupted transform-domain tensor.  xhat is left unchanged unless
-    ``overwrite`` hands it over: fft and dct may then transform in its memory.
+    ``overwrite`` hands it over: fft and dct may then transform in its memory
+    (never in workspace memory).  The result is a new array unless xhat was
+    handed over.
     """
     out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite)
     if assume_real and np.iscomplexobj(out):

@@ -142,6 +142,20 @@ class TestModeNProduct:
         with pytest.raises(ShapeError):
             mode_n_product(np.ones((2, 2, 3)), np.ones((2, 2)), 3)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_out_receives_the_product(self, n, rng):
+        x = rng.standard_normal((3, 2, 4))
+        u = rng.standard_normal((5, x.shape[n - 1]))
+        expected = mode_n_product(x, u, n)
+        out = np.empty(expected.shape)
+        assert mode_n_product(x, u, n, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("out", [np.empty((3, 2, 5)), np.empty((3, 2, 4), order="F")], ids=["shape", "order"])
+    def test_out_must_be_c_contiguous_of_the_result_shape(self, out, rng):
+        with pytest.raises(ShapeError, match="out must be"):
+            mode_n_product(np.ones((3, 2, 4)), np.eye(4), 3, out=out)
+
     @pytest.mark.parametrize("shape", [(3, 2, 4, 2), (1, 4, 1, 3), (2, 0, 3, 2), (3, 2, 0)])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_matches_tensordot_on_every_mode(self, shape, kind, rng):
@@ -172,6 +186,14 @@ class TestRepMatrix:
         x = seq_tensor((1, 1, 3))
         assert rep_matrix(x, 2).shape == (1, 1)
         assert rep_matrix(x, 2)[0, 0] == 2.0
+
+    @pytest.mark.parametrize(
+        "dims, expected", [((3, 4), 1), ((3,), 1), ((2, 2, 3), 3), ((2, 2, 3, 2, 2), 12), ((2, 2, 0, 4), 0)]
+    )
+    def test_num_rep(self, dims, expected):
+        for given_dims in (dims, np.array(dims, dtype=np.int64)):
+            out = num_rep(given_dims)
+            assert out == expected and type(out) is int
 
     def test_index_bijection_exhaustive(self):
         dims = (2, 2, 3, 2, 2)

@@ -518,6 +518,17 @@ _ALL_OP_IDS = ["t_svd", "svt", "ranks", "spectral_norm", "nuclear_norm",
                "l_product", "l_transpose", "is_orthogonal"]
 
 
+class TestConjTranspose:
+    def test_real_stacks_give_a_view_and_complex_ones_the_conjugate(self, rng):
+        from ltensor.linalg import _conj_transpose
+
+        real = rng.standard_normal((3, 2, 4))
+        assert np.shares_memory(_conj_transpose(real), real)
+        np.testing.assert_array_equal(_conj_transpose(real), real.transpose(0, 2, 1))
+        cplx = real + 1j * rng.standard_normal(real.shape)
+        np.testing.assert_array_equal(_conj_transpose(cplx), np.conj(cplx.transpose(0, 2, 1)))
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -554,6 +565,16 @@ class TestNonFinite:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="NaN or inf"):
                 l_product(a, a, make_spec(kind, a.shape))
+
+    def test_overflowing_inverse_raises_without_warning(self):
+        # both dct-domain slices hold a finite 7.2e307; the orthogonal inverse
+        # sums them, and [inf, 2.99e292] came back with no warning or error
+        a = np.zeros((1, 1, 2))
+        a[0, 0, 0] = 1.2e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="inverse-transformed results hold NaN or inf"):
+                l_product(a, a, make_spec("dct", a.shape))
 
 
 class TestZeroSize:
