@@ -1,5 +1,7 @@
 """Transform-domain tensor-tensor products, *_L-SVD and low-rank completion."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     facewise_product,
     fro_norm,
@@ -44,5 +46,11 @@ from .completion import (
 )
 from .io import export_ppm_dir, import_ppm_dir, read_container, write_container
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public functions and classes; the submodules imported above are left out
+# (a star import would bind `io` over the standard library's)
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import as_rep_stack, fro_norm, from_rep_stack, same_shape
+from .core import as_rep_stack, fro_norm, from_rep_stack, is_count, same_shape
 from .errors import ParameterError, ShapeError
 from .linalg import svt
 from .transforms import TransformSpec
@@ -39,9 +39,9 @@ def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
     """Uniform observation mask with exactly round(sr * prod(dims)) entries."""
     if not 0.0 <= sr <= 1.0:
         raise ParameterError(f"sampling ratio must be in [0, 1], got {sr}")
+    if not all(is_count(v) for v in (seed, *dims)):
+        raise ParameterError(f"seed and dims must be integers >= 0, got seed {seed} and dims {dims}")
     dims = tuple(int(d) for d in dims)
-    if seed < 0 or any(d < 0 for d in dims):
-        raise ParameterError(f"seed and dims must be >= 0, got seed {seed} and dims {dims}")
     total = int(np.prod(dims, dtype=np.int64))
     count = int(round(sr * total))
     rng = np.random.default_rng(seed)
@@ -108,8 +108,8 @@ class CompletionConfig:
             raise ParameterError(f"mu_bar_ratio must be in [0, 1], got {self.mu_bar_ratio}")
         if self.mu0 is not None and not 0.0 <= self.mu0 < math.inf:
             raise ParameterError(f"mu0 must be finite and >= 0, got {self.mu0}")
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not is_count(self.max_iters, 1):
+            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters}")
 
 
 @dataclass

@@ -12,20 +12,27 @@ Memory order: transform-domain work runs on the C-contiguous (P, I_1, I_2)
 rep stack, which is the C-contiguous (I_N, ..., I_3, I_1, I_2) block array
 (mode m >= 3 is its axis N - m).  :func:`from_rep_stack` returns a view of
 its stack, so a tensor in this order goes back through :func:`as_rep_stack`
-without a copy; a tensor in any other order costs one copy.
+without a copy; a tensor in any other order costs one copy.  Every transform
+returns a tensor in this order.
 
 Workspace: :func:`scratch` hands out per-thread buffers by role for
-intermediates that live and die inside one *_L op (rep-order copies, mode
-products, L-domain stacks), so repeat calls reuse memory instead of mapping
-and faulting fresh pages.  A role's buffer grows to its largest request and
-is kept for the thread's lifetime; the buffers of one thread hold at most
-``WORKSPACE_CAP`` bytes, and a request past that cap is a fresh array.  No
-public function returns workspace memory or a view of it.
+intermediates that live and die inside one *_L op, so repeat calls reuse
+memory instead of mapping and faulting fresh pages.  Under every kind these
+are a transform's rep-order copy of its input (made when the input is not in
+rep order, or when fft or dct must promote it to double precision) and
+:func:`ltensor.linalg.l_product`'s facewise product; under the matrix kinds
+also every mode product but the last and each operand's L-domain stack.  fft
+and dct results are scipy.fft's own arrays.  A role's buffer grows to its
+largest request and is kept for the thread's lifetime; the buffers of one
+thread hold at most ``WORKSPACE_CAP`` bytes, and a request past that cap is a
+fresh array.  No public function returns workspace memory or a view of it,
+and an inverse transform never overwrites it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 
 import numpy as np
@@ -73,6 +80,11 @@ def _as_tensor(x) -> np.ndarray:
     if x.ndim < 2:
         raise ShapeError(f"tensor order must be >= 2, got order {x.ndim}")
     return x
+
+
+def is_count(value, low=0) -> bool:
+    """Whether value is an integer (Python or numpy) >= low; floats are not, even 2.0."""
+    return isinstance(value, numbers.Integral) and value >= low
 
 
 def same_shape(a, b):
@@ -208,8 +220,8 @@ def mode_n_product(x, u, n: int, out=None) -> np.ndarray:
     fibers = x.reshape(math.prod(lead), x.shape[n - 1], math.prod(trail))
     shape = lead + (u.shape[0],) + trail
     if out is None:
-        return np.matmul(u, fibers).reshape(shape)
-    if out.shape != shape or not out.flags.c_contiguous:
+        out = np.empty(shape, np.result_type(u, x))
+    elif out.shape != shape or not out.flags.c_contiguous:
         raise ShapeError(f"out must be a C-contiguous array of shape {shape}, got {out.shape}")
     np.matmul(u, fibers, out=out.reshape(fibers.shape[0], u.shape[0], fibers.shape[2]))
     return out

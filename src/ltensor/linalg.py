@@ -5,18 +5,17 @@ representative matrices (batched over p in fixed ascending order) and
 transform back.  Every op enters through :func:`_forward`, which raises
 ``ParameterError`` on NaN or inf in the input or from an overflowed transform;
 :func:`_slicewise` checks the slice-wise results and the inverse transforms'
-results the same way.  The stacks are views of the transforms' rep-order
-outputs (see :mod:`ltensor.core`).  :func:`l_product`'s facewise product and,
-under the matrix kinds, the forward stacks (one workspace role per operand)
-live in the calling thread's workspace; they die inside the op, and every
-result is a new array.
+results the same way.  The stacks are in rep-stack memory order and the
+intermediates live in the workspace (see :mod:`ltensor.core`); every result
+is a new array.
 Real inputs under fft, dct or cprod come back real via the imaginary-residual
 contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
 complex and so may its outputs.  A zero-size first or second dim gives the
 empty result.
 
 :func:`svt` factors each slice's small Hermitian Gram matrix instead of the
-slice, and takes the direct SVD when ``tau < 1e-6 * max_p ||H_p||_F``;
+slice, and takes the slice's SVD when ``tau < 1e-6 * max_p ||H_p||_F``; both
+give the (U, sigma) of one shrink.
 :func:`t_svd`, :func:`ranks`, :func:`spectral_norm` and :func:`nuclear_norm`
 need the small singular values, which squaring would lose, and stay on the
 direct SVD.
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_rep_stack, fro_norm, from_rep_stack, num_rep, product_operands, scratch
+from .core import as_rep_stack, fro_norm, from_rep_stack, is_count, num_rep, product_operands, scratch
 from .errors import ParameterError, ShapeError
 from .transforms import TransformSpec, apply_l, apply_l_inv
 
@@ -93,6 +92,8 @@ def l_product(a, b, spec: TransformSpec) -> np.ndarray:
 
 def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
     """The tensor with every L-domain representative matrix equal to I_n."""
+    if not is_count(n):
+        raise ParameterError(f"identity size must be an integer >= 0, got {n}")
     trailing = tuple(int(d) for d in trailing_dims)
     P = num_rep((n, n) + trailing)
     stack = np.broadcast_to(np.eye(n), (P, n, n)).copy()
@@ -114,13 +115,15 @@ def is_orthogonal(q, spec: TransformSpec, tol: float = 1e-10) -> bool:
     q = np.asarray(q)
     if q.shape[0] != q.shape[1]:
         raise ShapeError(f"orthogonality needs square first two dims, got {q.shape[:2]}")
-    eye = np.eye(q.shape[0])
+    n = q.shape[0]
 
-    def residuals(hat):
+    def residuals(hat):  # both residual stacks on one row axis: one inverse transform
         hat_t = _conj_transpose(hat)
-        return np.matmul(hat, hat_t) - eye, np.matmul(hat_t, hat) - eye
+        both = np.concatenate((np.matmul(hat, hat_t), np.matmul(hat_t, hat)), axis=1)
+        return both - np.tile(np.eye(n), (2, 1))
 
-    return all(fro_norm(r) < tol for r in _slicewise(residuals, spec, q))
+    r = _slicewise(residuals, spec, q)
+    return fro_norm(r[:n]) < tol and fro_norm(r[n:]) < tol
 
 
 @dataclass
@@ -136,7 +139,7 @@ class LFactors:
     def leading(self, k: int):
         """The leading factors u(:,1:k), s(1:k,1:k), v(:,1:k) for 1 <= k <= min(I_1, I_2)."""
         kmax = min(self.s.shape[0], self.s.shape[1])
-        if not 1 <= k <= kmax:
+        if not is_count(k, 1) or k > kmax:
             raise ParameterError(f"truncation rank {k} out of range [1, {kmax}]")
         return self.u[:, :k], self.s[:k, :k], self.v[:, :k]
 
@@ -184,13 +187,11 @@ def ranks(a, spec: TransformSpec, threshold: float = DEFAULT_RANK_THRESHOLD) -> 
     if not 0.0 <= threshold:
         raise ParameterError(f"threshold must be >= 0, got {threshold}")
     sv = _spectrum(a, spec)
-    smax = float(sv.max(initial=0.0))
-    if smax == 0.0:
-        return RankReport(tubal=0, multirank=np.zeros(sv.shape[0], dtype=int), average=0.0)
-    nonzero = sv > threshold * smax
+    nonzero = sv > threshold * float(sv.max(initial=0.0))
     multirank = nonzero.sum(axis=1)
     tubal = int(nonzero.any(axis=0).sum())
-    return RankReport(tubal=tubal, multirank=multirank, average=float(multirank.mean()))
+    average = float(multirank.sum() / max(len(multirank), 1))  # 0.0 for no slices
+    return RankReport(tubal=tubal, multirank=multirank, average=average)
 
 
 def spectral_norm(a, spec: TransformSpec) -> float:
@@ -210,13 +211,14 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
 
     Proximal operator of tau * nuclear_norm for unitary-scaled specs.
 
-    Each transform-domain slice H (H^H when tall) gives a Gram matrix
-    G = H H^H = U diag(sigma^2) U^H, factored for all slices in one Hermitian
-    ``np.linalg.svd`` call.  The result is U_k diag(max(sigma - tau, 0) / sigma)
-    U_k^H H over the k leading columns that hold some sigma_p > tau.  It agrees
-    with the SVD prox to about eps * fmax^2 / tau (Golub & Van Loan §8.6), where
-    fmax = max_p ||H_p||_F; so when tau < 1e-6 * fmax, or the Gram overflows
-    or underflows, the whole stack takes the direct SVD.
+    Each transform-domain slice H (H^H when tall) gives U and sigma with
+    H H^H = U diag(sigma^2) U^H, for all slices from one ``np.linalg.svd``
+    call.  The result is U_k diag(max(sigma - tau, 0) / sigma) U_k^H H over the
+    k leading columns that hold some sigma_p > tau.  The call factors the
+    Hermitian Gram matrix G = H H^H, which agrees with the SVD prox to about
+    eps * fmax^2 / tau (Golub & Van Loan §8.6), where fmax = max_p ||H_p||_F;
+    so when tau < 1e-6 * fmax, or the Gram overflows or underflows, it takes
+    the thin SVD of H instead.
     """
     if not 0.0 <= tau:
         raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -228,13 +230,13 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
         gram = np.matmul(h, _conj_transpose(h))  # overflow is silenced by _slicewise
         # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
         fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max(initial=0.0))
-        if not (_GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau):
-            u, sv, vh = np.linalg.svd(hat, full_matrices=False)
-            u *= np.maximum(sv - tau, 0.0)[:, None, :]
-            return np.matmul(u, vh)
-        u, lam, _ = np.linalg.svd(gram, hermitian=True)
-        k = int((lam > tau * tau).sum(axis=1).max())
-        u, sv = u[:, :, :k], np.sqrt(lam[:, :k])
+        if _GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau:
+            u, lam, _ = np.linalg.svd(gram, hermitian=True)
+            sv = np.sqrt(lam)
+        else:
+            u, sv, _ = np.linalg.svd(h, full_matrices=False)
+        k = int((sv > tau).sum(axis=1).max(initial=0))
+        u, sv = u[:, :, :k], sv[:, :k]
         scale = np.divide(sv - tau, sv, out=np.zeros_like(sv), where=sv > tau)
         out = np.matmul(u * scale[:, None, :], np.matmul(_conj_transpose(u), h))
         return _conj_transpose(out) if tall else out

@@ -15,14 +15,11 @@ unitary-scaled kinds (alpha = prod I_i for fft, 1 for dct).  One Gram test
 per M_i finds s_i for the matrix kinds; alpha is None if one fails (cprod on
 a mode of size >= 2), which disables the nuclear-norm/SVT theory.
 
-Every transform runs on the rep-stack block array (see :mod:`ltensor.core`)
-and returns a tensor in that memory order.  fft and dct transform all their
-modes in one multi-axis ``scipy.fft`` call (``fftn``/``dctn`` and inverses),
-in double precision; the results differ from single-axis ``np.fft`` passes by
-rounding.  The matrix kinds take one :func:`ltensor.core.mode_n_product` per
-mode: the rep-order copy of the input and every product but the last go to
-two workspace buffers (see :mod:`ltensor.core`) in turn, and the last product
-to a new array, so results never share memory with the workspace.
+Every transform runs on the rep-stack block array; its memory order and the
+workspace are described in :mod:`ltensor.core`.  fft and dct transform all
+their modes in one multi-axis ``scipy.fft`` call (``fftn``/``dctn`` and
+inverses), in double precision.  The matrix kinds take one
+:func:`ltensor.core.mode_n_product` per mode.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from functools import partial
 import numpy as np
 import scipy.fft
 
-from .core import as_rep_stack, fro_norm, from_rep_stack, in_workspace, mode_n_product, num_rep, scratch
+from .core import _as_tensor, fro_norm, from_rep_stack, in_workspace, mode_n_product, num_rep, scratch
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
@@ -128,8 +125,8 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     the other kinds build their own and reject it.
     """
     shape = tuple(int(d) for d in shape)
-    if len(shape) < 3:
-        raise TransformError(f"transforms need order >= 3, got shape {shape}")
+    if len(shape) < 3 or min(shape) < 0:
+        raise TransformError(f"transforms need order >= 3 and dims >= 0, got shape {shape}")
     if modes is None:
         modes = tuple(range(3, len(shape) + 1))
     else:
@@ -163,11 +160,15 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         mat = mats[m]
         if mat.shape != (n, n):
             raise TransformError(f"matrix for mode {m} has shape {mat.shape}, expected ({n}, {n})")
+        if mat.dtype.kind not in "biufc" or not np.isfinite(mat).all():
+            raise TransformError(f"matrix for mode {m} must hold finite numbers")
         try:
             inverses[m] = np.linalg.inv(mat)
         except np.linalg.LinAlgError as exc:
             raise TransformError(f"matrix for mode {m} is singular") from exc
-        if np.linalg.norm(mat @ inverses[m] - np.eye(n)) >= _INV_TOL * max(1.0, float(np.linalg.norm(mat))):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed inverse gives NaN, refused below
+            residual = np.linalg.norm(mat @ inverses[m] - np.eye(n))
+        if not residual < _INV_TOL * max(1.0, float(np.linalg.norm(mat))):
             raise TransformError("transform matrix is not invertible to working precision")
         gram = mat @ mat.conj().T
         s = float(np.trace(gram).real) / n
@@ -185,54 +186,53 @@ _FAST = {
 }
 
 
-# The two workspace roles the matrix kinds' mode products alternate between.
+# The two workspace roles the rep-order copy and the mode products alternate between.
 _STEPS = ("transforms.step0", "transforms.step1")
 
 
+def _dest(role, shape, dtype):
+    """Where a step writes: the workspace buffer of ``role``, or a new array when role is None."""
+    return np.empty(shape, dtype) if role is None else scratch(role, shape, dtype)
+
+
 def _mode_loop(x, spec, inverse, overwrite=False, role=None):
-    x = np.asarray(x)
+    x = _as_tensor(x)
     for mode, size in zip(spec.modes, spec.sizes):
         if mode > x.ndim or x.shape[mode - 1] != size:
             raise TransformError(
                 f"tensor of shape {x.shape} does not match spec modes {spec.modes} "
                 f"with sizes {spec.sizes}"
             )
-    # The rep stack viewed as the (I_N, ..., I_3, I_1, I_2) block array: mode m is axis N - m.
-    trailing = x.shape[2:]
     fast = _FAST.get(spec.kind)
-    if not spec.modes:  # L is the identity; the result is still a new array
-        block = as_rep_stack(x).astype(np.promote_types(x.dtype, np.float64) if fast else x.dtype)
-    elif fast is not None:
-        block = as_rep_stack(x).reshape(trailing[::-1] + x.shape[:2])
-        # scipy.fft keeps single precision; L is computed in double like every other kind
-        block = block.astype(np.promote_types(block.dtype, np.float64), copy=False)
+    # The rep stack viewed as the (I_N, ..., I_3, I_1, I_2) block array: mode m is axis N - m.
+    block = x.transpose(tuple(range(x.ndim - 1, 1, -1)) + (0, 1))
+    # scipy.fft keeps single precision; L is computed in double like every other kind
+    dtype = np.promote_types(x.dtype, np.float64) if fast else x.dtype
+    if not (spec.modes and block.flags.c_contiguous and block.dtype == dtype):
+        # with no modes L is the identity, and this copy is the result
+        copy = _dest(_STEPS[1] if spec.modes else role, block.shape, dtype)
+        np.copyto(copy, block)
+        block = copy
+    if fast is not None and spec.modes:
         # scipy may return its input's memory when overwriting: never overwrite the workspace
         overwrite = overwrite and not in_workspace(block)
         block = fast[inverse](block, axes=[x.ndim - m for m in spec.modes], overwrite_x=overwrite)
     else:
-        block = x.transpose(tuple(range(x.ndim - 1, 1, -1)) + (0, 1))
-        if not block.flags.c_contiguous:
-            copy = scratch(_STEPS[1], block.shape, block.dtype)
-            np.copyto(copy, block)
-            block = copy
         modes = tuple(reversed(spec.modes)) if inverse else spec.modes
         for i, mode in enumerate(modes):
             mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
             dtype = np.result_type(block, mat)
-            if i < len(modes) - 1:
-                out = scratch(_STEPS[i % 2], block.shape, dtype)
-            else:
-                out = np.empty(block.shape, dtype) if role is None else scratch(role, block.shape, dtype)
+            out = _dest(_STEPS[i % 2] if i < len(modes) - 1 else role, block.shape, dtype)
             block = mode_n_product(block, mat, x.ndim - mode + 1, out=out)
-    return from_rep_stack(block.reshape((num_rep(x.shape),) + x.shape[:2]), trailing)
+    return from_rep_stack(block.reshape((num_rep(x.shape),) + x.shape[:2]), x.shape[2:])
 
 
 def apply_l(x, spec: TransformSpec, *, _scratch=None) -> np.ndarray:
     """L(x): successive mode products with M_i over spec.modes (fast transforms for fft/dct).
 
     The result is a new array.  ``_scratch`` is internal: a workspace role
-    that receives the matrix kinds' last product instead, for a caller whose
-    stack dies inside its own op.
+    that receives the matrix kinds' last product (with no transformed modes,
+    any kind's copy) instead, for a caller whose stack dies inside its own op.
     """
     return _mode_loop(x, spec, inverse=False, role=_scratch)
 

@@ -79,6 +79,16 @@ class TestSampleMask:
         with pytest.raises(ParameterError):
             sample_mask(dims, sr, seed)
 
+    @pytest.mark.parametrize("dims, seed", [((2.5, 2, 3), 1), ((2, 2, 3), 1.5)], ids=["dim", "seed"])
+    def test_rejects_fractional_counts(self, dims, seed):
+        # a dim of 2.5 was truncated to 2; a seed of 1.5 escaped as numpy TypeError
+        with pytest.raises(ParameterError, match="must be integers >= 0"):
+            sample_mask(dims, 0.5, seed)
+
+    def test_accepts_numpy_integers(self):
+        mask = sample_mask((np.int64(2), np.int32(2), 3), 0.5, np.int64(1))
+        np.testing.assert_array_equal(mask, sample_mask((2, 2, 3), 0.5, 1))
+
 
 class TestMetrics:
     def test_rse_identical(self):
@@ -163,6 +173,17 @@ class TestConfig:
         cfg = CompletionConfig(spec=make_spec("fft", (2, 2, 2)), **{field: value})
         with pytest.raises(ParameterError, match=field):
             cfg.validate()
+
+    def test_validate_rejects_a_fractional_max_iters(self):
+        # passed validate() and failed in range() with TypeError
+        cfg = CompletionConfig(spec=make_spec("fft", (2, 2, 2)), max_iters=2.5)
+        with pytest.raises(ParameterError, match="max_iters must be an integer >= 1"):
+            cfg.validate()
+
+    def test_numpy_integer_max_iters_runs(self):
+        cfg = CompletionConfig(spec=make_spec("fft", (2, 2, 2)), max_iters=np.int64(2))
+        _, trace = pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), cfg)
+        assert trace.iterations <= 2
 
     def test_zero_mu0_passes(self):
         CompletionConfig(spec=make_spec("dct", (2, 2, 2)), mu0=0.0).validate()

@@ -267,3 +267,18 @@ class TestFacewiseProduct:
             facewise_product(np.ones((2, 3, 2)), np.ones((2, 2, 2)))
         with pytest.raises(ShapeError):
             facewise_product(np.ones((2, 3, 2)), np.ones((3, 2, 3)))
+
+
+class TestPackage:
+    def test_exports_only_functions_and_classes(self):
+        # __all__ held the submodules too, so a star import rebound the standard library's io
+        import inspect
+        import io
+
+        import ltensor
+
+        exported = [getattr(ltensor, name) for name in ltensor.__all__]
+        assert exported and all(inspect.isfunction(v) or inspect.isclass(v) for v in exported)
+        namespace = {}
+        exec("import io\nfrom ltensor import *", namespace)
+        assert namespace["io"] is io and namespace["svt"] is ltensor.svt

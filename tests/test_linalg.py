@@ -137,6 +137,17 @@ class TestOrthogonality:
         eye = identity_tensor(3, (2, 2), spec)
         assert is_orthogonal(eye, spec)
 
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_identity_tensor_rejects_bad_sizes(self, n):
+        # -1 escaped as numpy ValueError
+        with pytest.raises(ParameterError, match="identity size must be an integer >= 0"):
+            identity_tensor(n, (3,), make_spec("fft", (2, 2, 3)))
+
+    def test_identity_tensor_accepts_numpy_integers(self):
+        spec = make_spec("dct", (3, 3, 2))
+        eye = identity_tensor(np.int64(3), (np.int64(2),), spec)
+        np.testing.assert_array_equal(eye, identity_tensor(3, (2,), spec))
+
     def test_svd_factor(self, rng):
         a = rng.standard_normal((4, 3, 2, 2))
         spec = make_spec("fft", a.shape)
@@ -177,7 +188,7 @@ class TestOrthogonality:
         q = t_svd(rng.standard_normal((3, 3, 2, 2)), make_spec(kind, (3, 3, 2, 2))).u
         calls.clear()
         assert is_orthogonal(q, make_spec(kind, q.shape), tol=1e-9)
-        assert sorted(calls) == ["apply_l", "apply_l_inv", "apply_l_inv"]
+        assert sorted(calls) == ["apply_l", "apply_l_inv"]
 
 
 class TestTSvd:
@@ -262,6 +273,14 @@ class TestTruncate:
             truncate(f, 4)
         with pytest.raises(ParameterError):
             truncate(f, 0)
+
+    def test_fractional_k(self, rng):
+        # failed while slicing with TypeError
+        f = t_svd(rng.standard_normal((3, 3, 2)), make_spec("dct", (3, 3, 2)))
+        for call in (lambda: f.leading(1.5), lambda: truncate(f, 1.5)):
+            with pytest.raises(ParameterError, match="truncation rank 1.5"):
+                call()
+        np.testing.assert_array_equal(truncate(f, np.int64(2)), truncate(f, 2))
 
 
 class TestRanks:

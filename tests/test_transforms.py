@@ -322,6 +322,26 @@ class TestSpecConstruction:
         with pytest.raises(TransformError, match=message):
             make_spec(kind, shape, modes=modes, matrices=matrices)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kind, shape, matrices, message",
+        [
+            # accepted: NaN >= tol is False, and every later op blamed its input for the NaN slices
+            ("explicit", (2, 2, 2), {3: [[np.nan, 0.0], [0.0, 1.0]]}, "must hold finite numbers"),
+            # accepted with numpy RuntimeWarnings
+            ("explicit", (2, 2, 2), {3: [[np.inf, 0.0], [0.0, 1.0]]}, "must hold finite numbers"),
+            # escaped as numpy UFuncTypeError
+            ("explicit", (2, 2, 2), {3: [["1", "0"], ["0", "1"]]}, "must hold finite numbers"),
+            # finite, but its inverse overflows and the residual is NaN: accepted with a RuntimeWarning
+            ("explicit", (2, 2, 2), {3: [[1e-320, 0.0], [0.0, 1.0]]}, "not invertible to working precision"),
+            # gave alpha == -3.0
+            ("fft", (2, 2, -3), None, "dims >= 0"),
+        ],
+    )
+    def test_make_spec_rejects_unusable_specs(self, kind, shape, matrices, message):
+        with pytest.raises(TransformError, match=message):
+            make_spec(kind, shape, matrices=matrices)
+
     @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
     def test_make_spec_rejects_a_mode_given_twice(self, kind):
         # mode 3 was transformed twice: fft alpha 9.0, explicit 2I alpha 16.0
