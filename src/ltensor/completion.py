@@ -110,6 +110,8 @@ class CompletionConfig:
             raise ParameterError(f"mu0 must be finite and >= 0, got {self.mu0}")
         if not is_count(self.max_iters, 1):
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        if self.rse_denominator not in ("obtained", "original"):
+            raise ParameterError(f"unknown RSE denominator {self.rse_denominator!r}")
 
 
 @dataclass

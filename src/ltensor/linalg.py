@@ -2,12 +2,13 @@
 
 All operations transform to the L-domain, act slice-wise on the P
 representative matrices (batched over p in fixed ascending order) and
-transform back.  Every op enters through :func:`_forward`, which raises
-``ParameterError`` on NaN or inf in the input or from an overflowed transform;
-:func:`_slicewise` checks the slice-wise results and the inverse transforms'
-results the same way.  The stacks are in rep-stack memory order and the
-intermediates live in the workspace (see :mod:`ltensor.core`); every result
-is a new array.
+transform back.  Every op enters through :func:`_forward`.  This module
+checks no finiteness itself: each transform, forward or inverse, raises
+``ParameterError`` on NaN or inf in its result (see
+:mod:`ltensor.transforms`), which also refuses a slice-wise result that
+overflowed, since its inverse cannot be finite.  The stacks are in
+rep-stack memory order and the intermediates live in the workspace (see
+:mod:`ltensor.core`); every result is a new array.
 Real inputs under fft, dct or cprod come back real via the imaginary-residual
 contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
 complex and so may its outputs.  A zero-size first or second dim gives the
@@ -39,18 +40,11 @@ _GRAM_MIN_TAU = 1e-6
 _GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _finite(stack, what="transform-domain slices"):
-    if not np.isfinite(stack).all():
-        raise ParameterError(f"{what} hold NaN or inf (non-finite input or overflow)")
-    return stack
-
-
 def _forward(a, spec, slot=0):
-    """L(a) as a (P, I_1, I_2) stack, the one way into the L-domain: overflow is silenced
-    here and refused with NaN and inf input, so inf never reaches LAPACK's SVD (it hung).
+    """L(a) as a (P, I_1, I_2) stack, the one way into the L-domain.  The transform
+    refuses NaN and inf input and overflow, so inf never reaches LAPACK's SVD (it hung).
     The stack lives in workspace role ``("forward", slot)`` under the matrix kinds."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(as_rep_stack(apply_l(a, spec, _scratch=("forward", slot))))
+    return as_rep_stack(apply_l(a, spec, _scratch=("forward", slot)))
 
 
 def _real(spec, *tensors) -> bool:
@@ -61,9 +55,9 @@ def _real(spec, *tensors) -> bool:
 def _slicewise(fn, spec, *tensors):
     """L^{-1}(fn(L(t_1), L(t_2), ...)) with fn acting on (P, I_1, I_2) stacks.
 
-    ``fn`` may return a tuple of stacks; each is checked like a forward stack,
-    so an overflow in ``fn`` raises ``ParameterError`` too, and transformed
-    back; an inverse that overflows raises it as well.
+    ``fn`` may return a tuple of stacks; each is transformed back.  Overflow
+    in ``fn`` is silenced here: its inf or NaN reaches the inverse, which
+    raises ``ParameterError`` like one that overflows itself.
     """
     # The forward stacks stay referenced until the inverse is done: freeing
     # them first made a dct solve take 1.5x the minor page faults.
@@ -71,12 +65,12 @@ def _slicewise(fn, spec, *tensors):
     real = _real(spec, *tensors)
 
     def back(stack):  # new stacks or views of hats: the inverse may overwrite those not in the workspace
-        stack = from_rep_stack(_finite(stack), tensors[0].shape[2:])
-        return _finite(apply_l_inv(stack, spec, assume_real=real, overwrite=True), "inverse-transformed results")
+        stack = from_rep_stack(stack, tensors[0].shape[2:])
+        return apply_l_inv(stack, spec, assume_real=real, overwrite=True)
 
     with np.errstate(over="ignore", invalid="ignore"):
         out = fn(*hats)
-        return tuple(map(back, out)) if isinstance(out, tuple) else back(out)
+    return tuple(map(back, out)) if isinstance(out, tuple) else back(out)
 
 
 def _facewise(x, y):
@@ -92,9 +86,9 @@ def l_product(a, b, spec: TransformSpec) -> np.ndarray:
 
 def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
     """The tensor with every L-domain representative matrix equal to I_n."""
-    if not is_count(n):
-        raise ParameterError(f"identity size must be an integer >= 0, got {n}")
-    trailing = tuple(int(d) for d in trailing_dims)
+    trailing = tuple(trailing_dims)
+    if not all(is_count(v) for v in (n, *trailing)):
+        raise ParameterError(f"identity size must be an integer >= 0, so must trailing dims: {n}, {trailing}")
     P = num_rep((n, n) + trailing)
     stack = np.broadcast_to(np.eye(n), (P, n, n)).copy()
     return apply_l_inv(from_rep_stack(stack, trailing), spec, assume_real=_real(spec))

@@ -20,17 +20,24 @@ workspace are described in :mod:`ltensor.core`.  fft and dct transform all
 their modes in one multi-axis ``scipy.fft`` call (``fftn``/``dctn`` and
 inverses), in double precision.  The matrix kinds take one
 :func:`ltensor.core.mode_n_product` per mode.
+
+No NaN or inf enters or leaves the L-domain: every forward and inverse
+transform makes one finiteness pass over its result and raises
+``ParameterError`` for NaN or inf input or an overflow, without a numpy
+warning.  This covers :func:`apply_l`, :func:`apply_l_inv`,
+:func:`ltensor.linalg.identity_tensor` and every *_L op.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 import scipy.fft
 
-from .core import _as_tensor, fro_norm, from_rep_stack, in_workspace, mode_n_product, num_rep, scratch
+from .core import _as_tensor, fro_norm, from_rep_stack, in_workspace, is_count, mode_n_product, num_rep, scratch
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
@@ -120,20 +127,23 @@ class TransformSpec:
 def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     """Build a TransformSpec for tensors of the given shape.
 
-    ``modes`` defaults to all trailing modes 3..N; each may appear once.
-    ``matrices`` is only for kind ``explicit`` (mode -> invertible matrix);
-    the other kinds build their own and reject it.
+    Dims and ``modes`` are integers (Python or numpy).  ``modes`` defaults to
+    all trailing modes 3..N; each may appear once.  ``matrices`` is only for
+    kind ``explicit`` (mode -> invertible matrix); the other kinds build their
+    own and reject it.  ``alpha`` is None unless the product of the Gram
+    scales is a finite float > 0, so a matrix too large or small to square in
+    double precision gives None.
     """
-    shape = tuple(int(d) for d in shape)
-    if len(shape) < 3 or min(shape) < 0:
-        raise TransformError(f"transforms need order >= 3 and dims >= 0, got shape {shape}")
-    if modes is None:
-        modes = tuple(range(3, len(shape) + 1))
-    else:
-        modes = tuple(sorted(int(m) for m in modes))
+    shape = tuple(shape)
+    if len(shape) < 3 or not all(is_count(d) for d in shape):
+        raise TransformError(f"transforms need order >= 3 and integer dims >= 0, got shape {shape}")
+    shape = tuple(map(int, shape))
+    modes = tuple(range(3, len(shape) + 1) if modes is None else modes)
+    for m in modes:
+        if not (is_count(m, 3) and m <= len(shape)):
+            raise TransformError(f"mode {m} out of range [3, {len(shape)}] (an integer) for shape {shape}")
+    modes = tuple(sorted(map(int, modes)))
     for i, m in enumerate(modes):
-        if not 3 <= m <= len(shape):
-            raise TransformError(f"mode {m} out of range [3, {len(shape)}] for shape {shape}")
         if m in modes[:i]:
             raise TransformError(f"mode {m} is given more than once")
         if shape[m - 1] == 0:
@@ -152,8 +162,11 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         raise TransformError(f"unknown transform kind {kind!r}")
     elif matrices is None:
         raise TransformError("explicit kind requires per-mode matrices")
-    mats = {int(m): np.array(matrices[m]) for m in matrices}
-    if set(mats) != set(modes):
+    try:
+        mats = {m: np.array(matrices[m]) for m in matrices}
+    except ValueError as exc:  # a ragged nested sequence
+        raise TransformError(f"matrices must be rectangular arrays: {exc}") from exc
+    if set(mats) != set(modes) or not all(map(is_count, mats)):
         raise TransformError(f"matrices given for modes {sorted(mats)}, expected {modes}")
     inverses, scales = {}, []
     for m, n in zip(modes, sizes):
@@ -166,16 +179,17 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
             inverses[m] = np.linalg.inv(mat)
         except np.linalg.LinAlgError as exc:
             raise TransformError(f"matrix for mode {m} is singular") from exc
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed inverse gives NaN, refused below
+        # an overflowed inverse or Gram gives NaN or inf, which fails each test
+        with np.errstate(over="ignore", invalid="ignore"):
             residual = np.linalg.norm(mat @ inverses[m] - np.eye(n))
-        if not residual < _INV_TOL * max(1.0, float(np.linalg.norm(mat))):
-            raise TransformError("transform matrix is not invertible to working precision")
-        gram = mat @ mat.conj().T
-        s = float(np.trace(gram).real) / n
-        if np.linalg.norm(gram - s * np.eye(n)) < _UNITARY_TOL * max(1.0, s):
-            scales.append(s)
-    alpha = float(np.prod(scales)) if len(scales) == len(modes) else None
-    return TransformSpec(kind, modes, sizes, alpha, mats, inverses)
+            if not residual < _INV_TOL * max(1.0, float(np.linalg.norm(mat))):
+                raise TransformError("transform matrix is not invertible to working precision")
+            gram = mat @ mat.conj().T
+            s = float(np.trace(gram).real) / n
+            if np.linalg.norm(gram - s * np.eye(n)) < _UNITARY_TOL * max(1.0, s):
+                scales.append(s)
+    alpha = math.prod(scales) if len(scales) == len(modes) else math.nan
+    return TransformSpec(kind, modes, sizes, alpha if 0.0 < alpha < math.inf else None, mats, inverses)
 
 
 # Fast (forward, inverse) pair per kind, each one multi-axis scipy.fft call;
@@ -213,26 +227,33 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
         copy = _dest(_STEPS[1] if spec.modes else role, block.shape, dtype)
         np.copyto(copy, block)
         block = copy
-    if fast is not None and spec.modes:
-        # scipy may return its input's memory when overwriting: never overwrite the workspace
-        overwrite = overwrite and not in_workspace(block)
-        block = fast[inverse](block, axes=[x.ndim - m for m in spec.modes], overwrite_x=overwrite)
-    else:
-        modes = tuple(reversed(spec.modes)) if inverse else spec.modes
-        for i, mode in enumerate(modes):
-            mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
-            dtype = np.result_type(block, mat)
-            out = _dest(_STEPS[i % 2] if i < len(modes) - 1 else role, block.shape, dtype)
-            block = mode_n_product(block, mat, x.ndim - mode + 1, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, refused below
+        if fast is not None and spec.modes:
+            # scipy may return its input's memory when overwriting: never overwrite the workspace
+            overwrite = overwrite and not in_workspace(block)
+            block = fast[inverse](block, axes=[x.ndim - m for m in spec.modes], overwrite_x=overwrite)
+        else:
+            modes = tuple(reversed(spec.modes)) if inverse else spec.modes
+            for i, mode in enumerate(modes):
+                mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
+                dtype = np.result_type(block, mat)
+                out = _dest(_STEPS[i % 2] if i < len(modes) - 1 else role, block.shape, dtype)
+                block = mode_n_product(block, mat, x.ndim - mode + 1, out=out)
+    # Every mode matrix is invertible, so a NaN or inf input leaves NaN or inf in the result.
+    if not np.isfinite(block).all():
+        what = "inverse-transformed results" if inverse else "transform-domain slices"
+        raise ParameterError(f"{what} hold NaN or inf (non-finite input or overflow)")
     return from_rep_stack(block.reshape((num_rep(x.shape),) + x.shape[:2]), x.shape[2:])
 
 
 def apply_l(x, spec: TransformSpec, *, _scratch=None) -> np.ndarray:
     """L(x): successive mode products with M_i over spec.modes (fast transforms for fft/dct).
 
-    The result is a new array.  ``_scratch`` is internal: a workspace role
-    that receives the matrix kinds' last product (with no transformed modes,
-    any kind's copy) instead, for a caller whose stack dies inside its own op.
+    Raises ``ParameterError`` when the result holds NaN or inf: a non-finite
+    input or an overflow.  The result is a new array.  ``_scratch`` is
+    internal: a workspace role that receives the matrix kinds' last product
+    (with no transformed modes, any kind's copy) instead, for a caller whose
+    stack dies inside its own op.
     """
     return _mode_loop(x, spec, inverse=False, role=_scratch)
 
@@ -240,12 +261,13 @@ def apply_l(x, spec: TransformSpec, *, _scratch=None) -> np.ndarray:
 def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite: bool = False) -> np.ndarray:
     """L^{-1}(xhat): inverse mode products in reverse mode order.
 
-    With ``assume_real`` the source is known real: the imaginary residual must
-    stay below 1e-9 relative and is discarded; larger residuals signal a
-    corrupted transform-domain tensor.  xhat is left unchanged unless
-    ``overwrite`` hands it over: fft and dct may then transform in its memory
-    (never in workspace memory).  The result is a new array unless xhat was
-    handed over.
+    Raises ``ParameterError`` when the result holds NaN or inf, before any
+    residual test.  With ``assume_real`` the source is known real: the
+    imaginary residual must stay below 1e-9 relative and is discarded; larger
+    residuals signal a corrupted transform-domain tensor.  xhat is left
+    unchanged unless ``overwrite`` hands it over: fft and dct may then
+    transform in its memory (never in workspace memory).  The result is a new
+    array unless xhat was handed over.
     """
     out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite)
     if assume_real and np.iscomplexobj(out):

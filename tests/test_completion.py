@@ -185,6 +185,16 @@ class TestConfig:
         _, trace = pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), cfg)
         assert trace.iterations <= 2
 
+    def test_validate_rejects_an_unknown_rse_denominator(self):
+        # passed validate(); pga_complete with ground truth then caught rse()'s
+        # ParameterError as an all-zero iterate and reported every rse as NaN
+        spec = make_spec("fft", (2, 2, 2))
+        cfg = CompletionConfig(spec=spec, rse_denominator="bogus")
+        with pytest.raises(ParameterError, match="unknown RSE denominator 'bogus'"):
+            cfg.validate()
+        with pytest.raises(ParameterError, match="unknown RSE denominator"):
+            pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), cfg, ground_truth=np.ones((2, 2, 2)))
+
     def test_zero_mu0_passes(self):
         CompletionConfig(spec=make_spec("dct", (2, 2, 2)), mu0=0.0).validate()
 

@@ -100,6 +100,15 @@ class TestUnfold:
         with pytest.raises(ModeError):
             mode_n_unfold(np.ones((2, 2, 2)), 4)
 
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_fold_mode_out_of_range(self, n):
+        with pytest.raises(ModeError, match=r"out of range \[1, 3\]"):
+            mode_n_fold(np.ones((2, 4)), n, (2, 2, 2))
+
+    def test_fold_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"unfolded shape \(2, 3\) does not match"):
+            mode_n_fold(np.ones((2, 3)), 1, (2, 2, 2))
+
     @given(st.integers(0, 10_000), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
     def test_fold_roundtrip(self, seed, mode_pick):
@@ -141,6 +150,11 @@ class TestModeNProduct:
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeError):
             mode_n_product(np.ones((2, 2, 3)), np.ones((2, 2)), 3)
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_mode_out_of_range(self, n):
+        with pytest.raises(ModeError, match=r"out of range \[1, 3\]"):
+            mode_n_product(np.ones((2, 2, 2)), np.eye(2), n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_out_receives_the_product(self, n, rng):
@@ -230,6 +244,15 @@ class TestRepMatrix:
         assert np.shares_memory(tensor, stack)
         again = as_rep_stack(tensor)  # a tensor in rep order goes back without a copy
         assert again.flags.c_contiguous and np.shares_memory(again, stack)
+
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.ones(3)], ids=["order-0", "order-1"])
+    def test_order_below_two_is_refused(self, x):
+        with pytest.raises(ShapeError, match="tensor order must be >= 2"):
+            as_rep_stack(x)
+
+    def test_from_rep_stack_checks_the_slice_count(self):
+        with pytest.raises(ShapeError, match=r"stack holds 3 slices, trailing dims \(2, 2\) need 4"):
+            from_rep_stack(np.ones((3, 2, 2)), (2, 2))
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2, 2), (3, 3, 0)])
     def test_zero_size_stack_round_trip(self, shape):

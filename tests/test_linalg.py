@@ -143,6 +143,12 @@ class TestOrthogonality:
         with pytest.raises(ParameterError, match="identity size must be an integer >= 0"):
             identity_tensor(n, (3,), make_spec("fft", (2, 2, 3)))
 
+    @pytest.mark.parametrize("trailing", [(2.5,), (3, 2.0), (-1,)])
+    def test_identity_tensor_rejects_bad_trailing_dims(self, trailing):
+        # (2.5,) was truncated to (2,) and gave a (2, 2, 2) tensor
+        with pytest.raises(ParameterError, match="so must trailing dims"):
+            identity_tensor(2, trailing, make_spec("fft", (2, 2, 2)))
+
     def test_identity_tensor_accepts_numpy_integers(self):
         spec = make_spec("dct", (3, 3, 2))
         eye = identity_tensor(np.int64(3), (np.int64(2),), spec)
@@ -584,6 +590,26 @@ class TestNonFinite:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="NaN or inf"):
                 l_product(a, a, make_spec(kind, a.shape))
+
+    @pytest.mark.parametrize(
+        "op, passes",
+        [(t_svd, 4), (lambda a, spec: svt(a, 1.0, spec), 2), (_l_square, 3), (l_transpose, 2), (is_orthogonal, 2)],
+        ids=["t_svd", "svt", "l_product", "l_transpose", "is_orthogonal"],
+    )
+    def test_one_finiteness_pass_per_transform(self, op, passes, rng, monkeypatch):
+        # each transform checks its own result and the ops add no pass of their own; t_svd
+        # made 7: the forward, then each of its three stacks before and after its inverse
+        a = rng.standard_normal((3, 3, 2))
+        spec = make_spec("fft", a.shape)
+        sizes, isfinite = [], np.isfinite
+
+        def counting(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        op(a, spec)
+        assert len(sizes) == passes and sizes[0] == a.size  # is_orthogonal inverts a stack of 2x the rows
 
     def test_overflowing_inverse_raises_without_warning(self):
         # both dct-domain slices hold a finite 7.2e307; the orthogonal inverse

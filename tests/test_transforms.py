@@ -51,6 +51,10 @@ class TestFourierMatrix:
         f = build_fourier_matrix(n)
         assert np.linalg.norm(f @ f.conj().T - n * np.eye(n)) < 1e-10
 
+    def test_size_error(self):
+        with pytest.raises(ParameterError, match="matrix size must be >= 1"):
+            build_fourier_matrix(0)
+
 
 class TestCproductMatrix:
     def test_n1(self):
@@ -208,6 +212,69 @@ class TestApplyL:
         assert spec.alpha == 4.0
 
 
+def _overflowing_spec(kind, shape):
+    """A spec on (.., .., 2) tensors; the explicit matrix's inverse [[1, -1], [0, 1]] can overflow."""
+    return make_spec(kind, shape, matrices={3: [[1.0, 1.0], [0.0, 1.0]]} if kind == "explicit" else None)
+
+
+_ALL_KINDS = ["fft", "dct", "cprod", "explicit"]
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFinite:
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)], ids=["nan", "inf", "-inf", "nan-imag"]
+    )
+    @pytest.mark.parametrize("inverse", [False, True], ids=["apply_l", "apply_l_inv"])
+    def test_non_finite_input_is_refused(self, inverse, bad, kind):
+        # went through every kind: fft and dct inverses returned [inf, inf, inf] for an
+        # inf entry, and a NaN imaginary part was dropped by the real inverse unchecked
+        a = np.ones((3, 3, 2), dtype=type(bad))
+        a[1, 1, 0] = bad
+        spec = _overflowing_spec(kind, a.shape)
+        with pytest.raises(ParameterError, match="NaN or inf"):
+            apply_l_inv(a, spec, assume_real=True) if inverse else apply_l(a, spec)
+
+    def test_non_finite_input_is_refused_with_no_transformed_modes(self):
+        # L is the identity: its copy of the input came back holding the NaN
+        a = np.ones((3, 3, 2))
+        a[0, 0, 1] = np.nan
+        spec = make_spec("fft", a.shape, modes=())
+        for transform in (apply_l, apply_l_inv):
+            with pytest.raises(ParameterError, match="NaN or inf"):
+                transform(a, spec)
+
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    def test_overflowing_forward_transform_is_refused(self, kind):
+        # fft and dct returned inf; the matrix kinds warned "overflow encountered in matmul"
+        a = np.full((3, 3, 2), 1e308)
+        with pytest.raises(ParameterError, match="transform-domain slices hold NaN or inf"):
+            apply_l(a, _overflowing_spec(kind, a.shape))
+
+    # cprod's inverse matrices have rows of absolute sum 1, so no finite input overflows them
+    @pytest.mark.parametrize("kind", ["fft", "dct", "explicit"])
+    def test_overflowing_inverse_is_refused(self, kind):
+        a = np.full((3, 3, 2), 1e308)
+        a[:, :, 1] = -1e308
+        with pytest.raises(ParameterError, match="inverse-transformed results hold NaN or inf"):
+            apply_l_inv(a, _overflowing_spec(kind, a.shape))
+
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    def test_each_transform_makes_one_finiteness_pass(self, kind, rng, monkeypatch):
+        x = rng.standard_normal((3, 4, 2))
+        spec = _overflowing_spec(kind, x.shape)
+        passes, isfinite = [], np.isfinite
+
+        def counting(a, *args, **kwargs):
+            passes.append(np.size(a))
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        apply_l_inv(apply_l(x, spec), spec, assume_real=kind != "explicit")
+        assert passes == [x.size, x.size]
+
+
 def _spec_of_kind(kind, shape, rng):
     if kind != "explicit":
         return make_spec(kind, shape)
@@ -352,6 +419,57 @@ class TestSpecConstruction:
         spec = make_spec("fft", (2, 2, 3, 4), modes=(3,))
         with pytest.raises(TransformError, match="mode 4 is not transformed"):
             spec.mode_matrix(4)
+
+    def test_spec_differing_in_kind_modes_or_sizes_is_unequal(self):
+        spec = make_spec("fft", (2, 2, 3, 4))
+        assert spec != make_spec("dct", (2, 2, 3, 4))
+        assert spec != make_spec("fft", (2, 2, 3, 4), modes=(3,))
+        assert spec != make_spec("fft", (2, 2, 3, 5))
+        assert spec.__eq__("fft") is NotImplemented and spec != "fft"
+
+    def test_fast_kinds_compute_their_mode_inverse(self):
+        spec = make_spec("fft", (2, 2, 3))
+        np.testing.assert_allclose(spec.mode_inverse(3), build_fourier_matrix(3).conj() / 3, atol=1e-15)
+
+    def test_make_spec_rejects_a_ragged_matrix(self):
+        # escaped as numpy ValueError ("inhomogeneous shape")
+        with pytest.raises(TransformError, match="rectangular"):
+            make_spec("explicit", (2, 2, 2), matrices={3: [[1, 0], [0]]})
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "shape, matrices",
+        [
+            # warned "overflow encountered in dot" from the Gram test
+            ((2, 2, 2), {3: 1e200 * np.eye(2)}),
+            # gave alpha == 0.0, and nuclear_norm divided by it
+            ((2, 2, 2), {3: 1e-200 * np.eye(2)}),
+            # two finite scales of 1e200: warned "overflow encountered in reduce"
+            ((2, 2, 2, 2), {3: 1e100 * np.eye(2), 4: 1e100 * np.eye(2)}),
+        ],
+        ids=["gram-overflows", "gram-underflows", "alpha-overflows"],
+    )
+    def test_alpha_is_none_unless_a_finite_positive_float(self, shape, matrices):
+        spec = make_spec("explicit", shape, matrices=matrices)
+        assert spec.alpha is None and not spec.unitary_scaled
+
+    def test_make_spec_takes_integer_sizes_and_modes_only(self):
+        # int() truncated each of these: sizes (2,), sizes (3,), mode 3, matrices for mode 3 (twice)
+        for shape, modes, matrices, message in [
+            ((2, 2, 2.5), None, None, "integer dims >= 0"),
+            ((2, 2, 3.0), None, None, "integer dims >= 0"),
+            ((2, 2, 3, 4), [3.7], None, r"mode 3.7 out of range \[3, 4\] \(an integer\)"),
+            ((2, 2, 2), None, {3.7: np.eye(2)}, r"matrices given for modes \[3.7\]"),
+            ((2, 2, 2), None, {3.0: np.eye(2)}, r"matrices given for modes \[3.0\]"),
+        ]:
+            with pytest.raises(TransformError, match=message):
+                make_spec("fft" if matrices is None else "explicit", shape, modes=modes, matrices=matrices)
+        # numpy integers are integers, and the spec holds them as Python ints
+        spec = make_spec("fft", (np.int64(2), 2, np.int32(3), 4), modes=[np.int64(4)])
+        assert spec == make_spec("fft", (2, 2, 3, 4), modes=(4,))
+        assert type(spec.modes[0]) is int and type(spec.sizes[0]) is int
+        eye = make_spec("explicit", (2, 2, 2), matrices={np.int64(3): np.eye(2)})
+        assert eye.alpha == 1.0 and eye == make_spec("explicit", (2, 2, 2), matrices={3: np.eye(2)})
 
     def test_equal_specs_hash_equal(self):
         a, b = make_spec("dct", (2, 2, 3, 4)), make_spec("dct", (5, 1, 3, 4))
