@@ -55,12 +55,14 @@ def build_parser():
     mask = sub.add_parser("mask", help="observation mask utilities")
     mask_sub = mask.add_subparsers(dest="mask_command", required=True)
     gen = mask_sub.add_parser("gen", help="sample a uniform observation mask")
+    gen.set_defaults(handler=_cmd_mask)
     gen.add_argument("--dims", type=_parse_dims, required=True)
     gen.add_argument("--sr", type=float, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
 
     comp = sub.add_parser("complete", help="run tensor completion")
+    comp.set_defaults(handler=_cmd_complete)
     comp.add_argument("--input", required=True)
     comp.add_argument("--mask", required=True)
     _add_transform_flags(comp)
@@ -75,9 +77,10 @@ def build_parser():
     solver.add_argument("--tol", type=float)
     solver.add_argument("--max-iters", type=int)
     solver.add_argument("--reimpose-observed", action="store_true")
-    solver.add_argument("--rse-denominator", choices=("obtained", "original"))
+    solver.add_argument("--rse-denominator", choices=completion.RSE_DENOMINATORS)
 
     tsvd = sub.add_parser("tsvd", help="compute the *_L-SVD factors")
+    tsvd.set_defaults(handler=_cmd_tsvd)
     tsvd.add_argument("--input", required=True)
     _add_transform_flags(tsvd)
     tsvd.add_argument("--out-u", required=True)
@@ -86,18 +89,21 @@ def build_parser():
     tsvd.add_argument("--truncate", type=int, default=None, metavar="K")
 
     prod = sub.add_parser("product", help="compute a *_L product")
+    prod.set_defaults(handler=_cmd_product)
     prod.add_argument("--a", required=True)
     prod.add_argument("--b", required=True)
     _add_transform_flags(prod)
     prod.add_argument("--out", required=True)
 
     svt_p = sub.add_parser("svt", help="singular value thresholding")
+    svt_p.set_defaults(handler=_cmd_svt)
     svt_p.add_argument("--input", required=True)
     svt_p.add_argument("--tau", type=float, required=True)
     _add_transform_flags(svt_p)
     svt_p.add_argument("--out", required=True)
 
     metrics = sub.add_parser("metrics", help="print RSE and PSNR between two tensors")
+    metrics.set_defaults(handler=_cmd_metrics)
     metrics.add_argument("--a", required=True, help="obtained tensor")
     metrics.add_argument("--b", required=True, help="original tensor")
     return parser
@@ -156,16 +162,6 @@ def _cmd_metrics(args):
     print("PSNR inf" if math.isinf(value) else f"PSNR {value:.12g}")
 
 
-_COMMANDS = {
-    "mask": _cmd_mask,
-    "complete": _cmd_complete,
-    "tsvd": _cmd_tsvd,
-    "product": _cmd_product,
-    "svt": _cmd_svt,
-    "metrics": _cmd_metrics,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -173,7 +169,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        _COMMANDS[args.command](args)
+        args.handler(args)
     except (LTensorError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

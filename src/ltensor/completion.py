@@ -26,13 +26,46 @@ from .linalg import svt
 from .transforms import TransformSpec
 
 
+# The tensors an RSE may divide by; ``rse``'s ``denominator`` names one.
+RSE_DENOMINATORS = ("obtained", "original")
+
+
+def _observed(mask, shape) -> np.ndarray:
+    """The observation mask as booleans: the one rule for what a mask may hold.
+
+    A mask has the data's shape and is boolean, or numeric with every entry
+    exactly 0 or 1; anything else (a probability, NaN, -1) raises
+    ``ParameterError`` instead of counting as observed.
+    """
+    mask = np.asarray(mask)
+    if mask.shape != shape:
+        raise ShapeError(f"mask shape {mask.shape} does not match data shape {shape}")
+    if mask.dtype != bool:
+        if mask.dtype.kind not in "iuf" or not np.isin(mask, (0, 1)).all():
+            raise ParameterError(f"mask entries must be boolean or exactly 0 or 1, got {mask.dtype} values")
+        mask = mask == 1
+    return mask
+
+
+def _real_finite(t, what) -> np.ndarray:
+    """t as a float64 array; ParameterError unless every entry is real and finite."""
+    t = np.asarray(t)
+    if np.iscomplexobj(t):
+        raise ParameterError(f"completion needs real {what}, got {t.dtype}")
+    t = t.astype(float, copy=False)
+    if not np.isfinite(t).all():
+        raise ParameterError(f"{what} holds NaN or inf entries, observed or not")
+    return t
+
+
 def project_omega(x, mask) -> np.ndarray:
-    """P_Omega(x): keep observed entries, zero the rest."""
+    """P_Omega(x): keep observed entries, zero the rest.
+
+    The mask has x's shape and is boolean, or numeric with every entry
+    exactly 0 or 1; anything else raises ``ParameterError``.
+    """
     x = np.asarray(x)
-    mask = np.asarray(mask, dtype=bool)
-    if x.shape != mask.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match data shape {x.shape}")
-    return np.where(mask, x, 0.0)
+    return np.where(_observed(mask, x.shape), x, 0.0)
 
 
 def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
@@ -57,7 +90,7 @@ def rse(obtained, original, denominator: str = "obtained") -> float:
     ``denominator='original'`` for the more common normalization.
     """
     obtained, original = same_shape(obtained, original)
-    if denominator not in ("obtained", "original"):
+    if denominator not in RSE_DENOMINATORS:
         raise ParameterError(f"unknown RSE denominator {denominator!r}")
     den = fro_norm(obtained if denominator == "obtained" else original) ** 2
     if den == 0.0:
@@ -68,9 +101,11 @@ def rse(obtained, original, denominator: str = "obtained") -> float:
 def psnr(obtained, original) -> float:
     """10 log10(Max^2 / ||obtained - original||_F^2), Max over the obtained tensor.
 
-    Identical tensors give +inf.
+    Identical tensors give +inf; complex tensors raise ``ParameterError``.
     """
     obtained, original = same_shape(obtained, original)
+    if np.iscomplexobj(obtained) or np.iscomplexobj(original):
+        raise ParameterError("PSNR needs real tensors, got complex")
     err = fro_norm(obtained - original) ** 2
     if err == 0.0:
         return math.inf
@@ -110,7 +145,7 @@ class CompletionConfig:
             raise ParameterError(f"mu0 must be finite and >= 0, got {self.mu0}")
         if not is_count(self.max_iters, 1):
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters}")
-        if self.rse_denominator not in ("obtained", "original"):
+        if self.rse_denominator not in RSE_DENOMINATORS:
             raise ParameterError(f"unknown RSE denominator {self.rse_denominator!r}")
 
 
@@ -148,21 +183,21 @@ class CompletionTrace:
 def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
     """Complete the observed tensor P_Omega(m) by accelerated proximal gradient.
 
-    Returns (completed tensor, trace).  Iterates start from X^0 = X^1 = 0 with
-    t_0 = t_1 = 1; per iteration Y is the momentum point, G restores the
-    observed entries of Y to those of m, and X^{k+1} = svt(G, mu_k).  Stops
-    when ||Y^k - X^{k+1}||_F / ||X^{k+1}||_F <= tol or at max_iters.
+    ``m`` and ``ground_truth`` must be real and finite everywhere and have
+    the shape of ``mask``, which follows :func:`project_omega`'s rule; each is
+    checked before any work.  Returns (completed tensor, trace).  Iterates start from
+    X^0 = X^1 = 0 with t_0 = t_1 = 1; per iteration Y is the momentum point,
+    G restores the observed entries of Y to those of m, and
+    X^{k+1} = svt(G, mu_k).  Stops when ||Y^k - X^{k+1}||_F / ||X^{k+1}||_F
+    <= tol or at max_iters.
     """
     cfg.validate()
     cfg.spec.require_unitary("pga_complete")
-    m = np.asarray(m)
-    if np.iscomplexobj(m):
-        raise ParameterError(f"completion needs real data, got {m.dtype}")
-    m = m.astype(float, copy=False)
-    if not np.isfinite(m).all():
-        raise ParameterError("data holds NaN or inf entries, observed or not")
-    mask = np.asarray(mask, dtype=bool)
-    zero_observation = fro_norm(project_omega(m, mask)) == 0.0  # also checks the mask shape
+    m = _real_finite(m, "data")
+    mask = _observed(mask, m.shape)
+    if ground_truth is not None:
+        m, ground_truth = same_shape(m, _real_finite(ground_truth, "ground truth"))
+    zero_observation = fro_norm(project_omega(m, mask)) == 0.0
     m, mask = (from_rep_stack(as_rep_stack(t), t.shape[2:]) for t in (m, mask))
     mu0 = cfg.nu * fro_norm(m) if cfg.mu0 is None else float(cfg.mu0)
     mu_bar = cfg.mu_bar_ratio * mu0

@@ -10,8 +10,9 @@ notation; flattening of trailing indices is column-major, i.e.
 
 Memory order: transform-domain work runs on the C-contiguous (P, I_1, I_2)
 rep stack, which is the C-contiguous (I_N, ..., I_3, I_1, I_2) block array
-(mode m >= 3 is its axis N - m).  :func:`from_rep_stack` returns a view of
-its stack, so a tensor in this order goes back through :func:`as_rep_stack`
+(mode m >= 3 is its axis N - m); :func:`rep_block` is the one view of a
+tensor as that block array.  :func:`from_rep_stack` returns a view of its
+stack, so a tensor in this order goes back through :func:`as_rep_stack`
 without a copy; a tensor in any other order costs one copy.  Every transform
 returns a tensor in this order.
 
@@ -19,14 +20,14 @@ Workspace: :func:`scratch` hands out per-thread buffers by role for
 intermediates that live and die inside one *_L op, so repeat calls reuse
 memory instead of mapping and faulting fresh pages.  Under every kind these
 are a transform's rep-order copy of its input (made when the input is not in
-rep order, or when fft or dct must promote it to double precision) and
+rep order, or when it must be promoted to double precision) and
 :func:`ltensor.linalg.l_product`'s facewise product; under the matrix kinds
 also every mode product but the last and each operand's L-domain stack.  fft
 and dct results are scipy.fft's own arrays.  A role's buffer grows to its
 largest request and is kept for the thread's lifetime; the buffers of one
-thread hold at most ``WORKSPACE_CAP`` bytes, and a request past that cap is a
-fresh array.  No public function returns workspace memory or a view of it,
-and an inverse transform never overwrites it.
+thread hold at most ``WORKSPACE_CAP`` bytes, and a request past that cap, or
+for role None, is a fresh array.  No public function returns workspace
+memory or a view of it, and an inverse transform never overwrites it.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def scratch(role, shape, dtype) -> np.ndarray:
     """An uninitialised C-contiguous array in this thread's workspace buffer for ``role``.
 
     The next request for the same role in this thread reuses the memory, so the
-    array must die inside the op that asked for it.  A request that would take
-    the workspace past ``WORKSPACE_CAP`` gets a fresh array instead.
+    array must die inside the op that asked for it.  Role None, or a request
+    that would take the workspace past ``WORKSPACE_CAP``, gets a fresh array
+    instead.
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
@@ -64,7 +66,7 @@ def scratch(role, shape, dtype) -> np.ndarray:
     buf = buffers.get(role)
     if buf is None or buf.nbytes < nbytes:
         others = sum(b.nbytes for r, b in buffers.items() if r != role)
-        if others + nbytes > WORKSPACE_CAP:
+        if role is None or others + nbytes > WORKSPACE_CAP:
             return np.empty(shape, dtype)
         buf = buffers[role] = np.empty(nbytes, np.uint8)
     return buf[:nbytes].view(dtype).reshape(shape)
@@ -157,13 +159,21 @@ def rep_matrix(x, p: int) -> np.ndarray:
     return x[(slice(None), slice(None)) + tuple(k - 1 for k in multi)]
 
 
+def rep_block(x) -> np.ndarray:
+    """x viewed as the (I_N, ..., I_3, I_1, I_2) block array: mode m >= 3 is axis N - m.
+
+    C-contiguous exactly when x is in rep-stack memory order.
+    """
+    return x.transpose(tuple(range(x.ndim - 1, 1, -1)) + (0, 1))
+
+
 def as_rep_stack(x) -> np.ndarray:
     """All representative matrices as a C-contiguous (P, I_1, I_2) array in p-order.
 
     A view when x is in rep-stack memory order, else one copy.
     """
     x = _as_tensor(x)
-    block = np.ascontiguousarray(x.transpose(tuple(range(x.ndim - 1, 1, -1)) + (0, 1)))
+    block = np.ascontiguousarray(rep_block(x))
     return block.reshape(num_rep(x.shape), x.shape[0], x.shape[1])
 
 

@@ -24,7 +24,7 @@ direct SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,7 +105,9 @@ def l_transpose(a, spec: TransformSpec) -> np.ndarray:
 
 
 def is_orthogonal(q, spec: TransformSpec, tol: float = 1e-10) -> bool:
-    """Whether q *_L q^T and q^T *_L q both equal the identity within tol."""
+    """Whether q *_L q^T and q^T *_L q both equal the identity within tol >= 0."""
+    if not 0.0 <= tol:
+        raise ParameterError(f"tol must be >= 0, got {tol}")
     q = np.asarray(q)
     if q.shape[0] != q.shape[1]:
         raise ShapeError(f"orthogonality needs square first two dims, got {q.shape[:2]}")
@@ -120,6 +122,14 @@ def is_orthogonal(q, spec: TransformSpec, tol: float = 1e-10) -> bool:
     return fro_norm(r[:n]) < tol and fro_norm(r[n:]) < tol
 
 
+def _equal_fields(self, other):
+    """Value equality of two results of one class: the spec by ==, every other field by ``np.array_equal``."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(a == b if isinstance(a, TransformSpec) else np.array_equal(a, b) for a, b in pairs)
+
+
 @dataclass
 class LFactors:
     """The *_L-SVD triple plus the tube norms ||S_i||_F (non-increasing)."""
@@ -129,6 +139,7 @@ class LFactors:
     v: np.ndarray
     tube_norms: np.ndarray
     spec: TransformSpec
+    __eq__ = _equal_fields
 
     def leading(self, k: int):
         """The leading factors u(:,1:k), s(1:k,1:k), v(:,1:k) for 1 <= k <= min(I_1, I_2)."""
@@ -143,6 +154,7 @@ class RankReport:
     tubal: int
     multirank: np.ndarray  # rho_p for p = 1..P
     average: float
+    __eq__ = _equal_fields
 
 
 def _spectrum(a, spec):

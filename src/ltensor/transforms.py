@@ -15,11 +15,15 @@ unitary-scaled kinds (alpha = prod I_i for fft, 1 for dct).  One Gram test
 per M_i finds s_i for the matrix kinds; alpha is None if one fails (cprod on
 a mode of size >= 2), which disables the nuclear-norm/SVT theory.
 
-Every transform runs on the rep-stack block array; its memory order and the
-workspace are described in :mod:`ltensor.core`.  fft and dct transform all
-their modes in one multi-axis ``scipy.fft`` call (``fftn``/``dctn`` and
-inverses), in double precision.  The matrix kinds take one
-:func:`ltensor.core.mode_n_product` per mode.
+Every transform runs on the rep-stack block array, the one view
+:func:`ltensor.core.rep_block`; its memory order and the workspace are
+described in :mod:`ltensor.core`.  Each step writes where
+:func:`ltensor.core.scratch` puts it: a workspace role, or a fresh array for
+role None.  fft and dct transform all their modes in one multi-axis
+``scipy.fft`` call (``fftn``/``dctn`` and inverses).  The matrix kinds take
+one :func:`ltensor.core.mode_n_product` per mode.  Every kind works in double
+precision (complex when L or the input is), so a spec with no transformed
+modes also returns float64 for integer, boolean or float32 input.
 
 No NaN or inf enters or leaves the L-domain: every forward and inverse
 transform makes one finiteness pass over its result and raises
@@ -37,7 +41,7 @@ from functools import partial
 import numpy as np
 import scipy.fft
 
-from .core import _as_tensor, fro_norm, from_rep_stack, in_workspace, is_count, mode_n_product, num_rep, scratch
+from .core import _as_tensor, fro_norm, from_rep_stack, in_workspace, is_count, mode_n_product, num_rep, rep_block, scratch
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
@@ -74,9 +78,19 @@ def build_cproduct_matrix(n: int) -> np.ndarray:
 _BUILDERS = {"fft": build_fourier_matrix, "dct": build_dct_matrix}
 
 
-@dataclass(eq=False)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writable: a spec's matrices and inverses never change."""
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class TransformSpec:
-    """The operator L: transformed modes, per-mode matrices and their inverses, scaling."""
+    """The operator L: transformed modes, per-mode matrices and their inverses, scaling.
+
+    Immutable: fields cannot be reassigned, and every matrix and inverse it
+    hands out, built lazily or not, is read-only.
+    """
 
     kind: str
     modes: tuple  # 1-based tensor modes, each >= 3, ascending
@@ -114,13 +128,13 @@ class TransformSpec:
             raise TransformError(f"mode {mode} is not transformed by this spec")
         if mode not in self._matrices:
             n = self.sizes[self.modes.index(mode)]
-            self._matrices[mode] = _BUILDERS[self.kind](n)
+            self._matrices[mode] = _read_only(_BUILDERS[self.kind](n))
         return self._matrices[mode]
 
     def mode_inverse(self, mode: int) -> np.ndarray:
         """The inverse of :meth:`mode_matrix`, computed once per mode."""
         if mode not in self._inverses:
-            self._inverses[mode] = np.linalg.inv(self.mode_matrix(mode))
+            self._inverses[mode] = _read_only(np.linalg.inv(self.mode_matrix(mode)))
         return self._inverses[mode]
 
 
@@ -163,7 +177,7 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     elif matrices is None:
         raise TransformError("explicit kind requires per-mode matrices")
     try:
-        mats = {m: np.array(matrices[m]) for m in matrices}
+        mats = {m: _read_only(np.array(matrices[m])) for m in matrices}
     except ValueError as exc:  # a ragged nested sequence
         raise TransformError(f"matrices must be rectangular arrays: {exc}") from exc
     if set(mats) != set(modes) or not all(map(is_count, mats)):
@@ -176,7 +190,7 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         if mat.dtype.kind not in "biufc" or not np.isfinite(mat).all():
             raise TransformError(f"matrix for mode {m} must hold finite numbers")
         try:
-            inverses[m] = np.linalg.inv(mat)
+            inverses[m] = _read_only(np.linalg.inv(mat))
         except np.linalg.LinAlgError as exc:
             raise TransformError(f"matrix for mode {m} is singular") from exc
         # an overflowed inverse or Gram gives NaN or inf, which fails each test
@@ -204,11 +218,6 @@ _FAST = {
 _STEPS = ("transforms.step0", "transforms.step1")
 
 
-def _dest(role, shape, dtype):
-    """Where a step writes: the workspace buffer of ``role``, or a new array when role is None."""
-    return np.empty(shape, dtype) if role is None else scratch(role, shape, dtype)
-
-
 def _mode_loop(x, spec, inverse, overwrite=False, role=None):
     x = _as_tensor(x)
     for mode, size in zip(spec.modes, spec.sizes):
@@ -218,13 +227,12 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
                 f"with sizes {spec.sizes}"
             )
     fast = _FAST.get(spec.kind)
-    # The rep stack viewed as the (I_N, ..., I_3, I_1, I_2) block array: mode m is axis N - m.
-    block = x.transpose(tuple(range(x.ndim - 1, 1, -1)) + (0, 1))
-    # scipy.fft keeps single precision; L is computed in double like every other kind
-    dtype = np.promote_types(x.dtype, np.float64) if fast else x.dtype
+    block = rep_block(x)  # mode m is its axis N - m
+    # L is computed in double precision under every kind (scipy.fft would keep single)
+    dtype = np.promote_types(x.dtype, np.float64)
     if not (spec.modes and block.flags.c_contiguous and block.dtype == dtype):
         # with no modes L is the identity, and this copy is the result
-        copy = _dest(_STEPS[1] if spec.modes else role, block.shape, dtype)
+        copy = scratch(_STEPS[1] if spec.modes else role, block.shape, dtype)
         np.copyto(copy, block)
         block = copy
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, refused below
@@ -237,7 +245,7 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
             for i, mode in enumerate(modes):
                 mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
                 dtype = np.result_type(block, mat)
-                out = _dest(_STEPS[i % 2] if i < len(modes) - 1 else role, block.shape, dtype)
+                out = scratch(_STEPS[i % 2] if i < len(modes) - 1 else role, block.shape, dtype)
                 block = mode_n_product(block, mat, x.ndim - mode + 1, out=out)
     # Every mode matrix is invertible, so a NaN or inf input leaves NaN or inf in the result.
     if not np.isfinite(block).all():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ltensor.completion
 from ltensor.completion import (
     CompletionConfig,
     CompletionTrace,
@@ -45,6 +46,17 @@ class TestProjectOmega:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             project_omega(np.ones((2, 2, 2)), np.ones((2, 2, 3), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full((2, 2, 2), 0.5), [[[0, 1], [1, np.nan]], [[0, 0], [1, 1]]], -np.ones((2, 2, 2)),
+         2 * np.ones((2, 2, 2), dtype=int), np.ones((2, 2, 2), dtype=complex)],
+        ids=["probability", "nan", "negative", "two", "complex"],
+    )
+    def test_rejects_masks_that_are_not_zero_one(self, values):
+        # each entry other than 0 counted as observed
+        with pytest.raises(ParameterError, match="boolean or exactly 0 or 1"):
+            project_omega(np.ones((2, 2, 2)), values)
 
 
 class TestSampleMask:
@@ -142,6 +154,16 @@ class TestMetrics:
             rse(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
         with pytest.raises(ShapeError):
             psnr(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", ["obtained", "original"])
+    def test_psnr_rejects_complex(self, which):
+        # numpy ComplexWarning, then a peak read off the real parts
+        a, b = np.ones((2, 2, 2)), np.ones((2, 2, 2))
+        a[0, 0, 0] = 1.5
+        pair = (a.astype(complex), b) if which == "obtained" else (a, b.astype(complex))
+        with pytest.raises(ParameterError, match="PSNR needs real tensors"):
+            psnr(*pair)
 
 
 class TestConfig:
@@ -342,6 +364,55 @@ class TestPgaComplete:
         with pytest.raises(ShapeError):
             pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 3), dtype=bool),
                          CompletionConfig(spec=spec))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [lambda shape: np.random.default_rng(0).uniform(0, 1, shape),
+         lambda shape: np.where(sample_mask(shape, 0.5, 1), 1.0, np.nan),
+         lambda shape: np.where(sample_mask(shape, 0.5, 1), 1, -1)],
+        ids=["probability", "nan", "negative"],
+    )
+    def test_rejects_masks_that_are_not_zero_one(self, mask, monkeypatch):
+        # a uniform(0, 1) mask marked every entry observed, and the solve ran
+        m, spec = low_rank((4, 5, 3), 1, 3)
+        monkeypatch.setattr(ltensor.completion, "svt", _no_svt)
+        with pytest.raises(ParameterError, match="boolean or exactly 0 or 1"):
+            pga_complete(m, mask(m.shape), CompletionConfig(spec=spec, max_iters=3))
+
+    def test_zero_one_float_mask_gives_the_boolean_result(self):
+        m, spec = low_rank((6, 5, 3), 1, 4)
+        mask = sample_mask(m.shape, 0.5, 2)
+        cfg = CompletionConfig(spec=spec, max_iters=20)
+        out, trace = pga_complete(m, mask, cfg)
+        for numeric in (mask.astype(float), mask.astype(np.int8)):
+            out_n, trace_n = pga_complete(m, numeric, cfg)
+            np.testing.assert_array_equal(out_n, out)
+            assert trace_n.records == trace.records
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "truth, error, message",
+        [
+            # ShapeError only after the first svt
+            (lambda m: m[:, :, :2], ShapeError, "dimension mismatch"),
+            # every rec.rse was NaN
+            (lambda m: np.where(m > m.max() - 1e-12, np.nan, m), ParameterError, "ground truth holds NaN or inf"),
+            (lambda m: np.where(m > m.max() - 1e-12, np.inf, m), ParameterError, "ground truth holds NaN or inf"),
+            # every rec.rse was NaN, with a numpy ComplexWarning from psnr
+            (lambda m: m.astype(complex), ParameterError, "needs real ground truth"),
+        ],
+        ids=["shape", "nan", "inf", "complex"],
+    )
+    def test_rejects_bad_ground_truth_before_any_work(self, truth, error, message, monkeypatch):
+        m, spec = low_rank((4, 5, 3), 1, 3)
+        monkeypatch.setattr(ltensor.completion, "svt", _no_svt)
+        with pytest.raises(error, match=message):
+            pga_complete(m, sample_mask(m.shape, 0.5, 1), CompletionConfig(spec=spec, max_iters=3),
+                         ground_truth=truth(m))
+
+
+def _no_svt(*args, **kwargs):
+    raise AssertionError("the solver ran before its inputs were checked")
 
 
 class TestTraceCsv:

@@ -16,6 +16,7 @@ from ltensor.core import (
     mode_n_unfold,
     multi_to_rep_index,
     num_rep,
+    rep_block,
     rep_index_to_multi,
     rep_matrix,
 )
@@ -244,6 +245,17 @@ class TestRepMatrix:
         assert np.shares_memory(tensor, stack)
         again = as_rep_stack(tensor)  # a tensor in rep order goes back without a copy
         assert again.flags.c_contiguous and np.shares_memory(again, stack)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (2, 3, 4, 1, 3)])
+    def test_rep_block_is_the_view_behind_the_rep_stack(self, shape, rng):
+        x = rng.standard_normal(shape)
+        block = rep_block(x)
+        n = x.ndim
+        assert np.shares_memory(block, x) and block.shape == shape[:1:-1] + shape[:2]
+        for m in range(3, n + 1):  # mode m is axis N - m
+            assert block.shape[n - m] == shape[m - 1]
+        np.testing.assert_array_equal(block.reshape(as_rep_stack(x).shape), as_rep_stack(x))
+        assert rep_block(from_rep_stack(as_rep_stack(x), shape[2:])).flags.c_contiguous
 
     @pytest.mark.parametrize("x", [np.float64(1.0), np.ones(3)], ids=["order-0", "order-1"])
     def test_order_below_two_is_refused(self, x):

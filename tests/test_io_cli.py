@@ -422,6 +422,45 @@ class TestCli:
         assert done.returncode == 2
         assert "NaN or inf" in done.stderr and "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("mask_dtype", [np.float64, np.float32])
+    def test_complete_rejects_a_probability_mask_exit_2(self, tmp_path, capsys, mask_dtype):
+        # every nonzero entry counted as observed, and the solve exited 0
+        pm, pk = tmp_path / "m.tlt", tmp_path / "mask.tlt"
+        write_container(pm, np.ones((4, 5, 3)))
+        write_container(pk, np.random.default_rng(0).uniform(0, 1, (4, 5, 3)).astype(mask_dtype))
+        code = main(["complete", "--input", str(pm), "--mask", str(pk), "--transform", "fft",
+                     "--max-iters", "3", "--out", str(tmp_path / "o.tlt")])
+        err = capsys.readouterr().err
+        assert code == 2 and "boolean or exactly 0 or 1" in err and "Traceback" not in err
+        assert not (tmp_path / "o.tlt").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, 1j])
+    def test_complete_rejects_bad_ground_truth_exit_2(self, tmp_path, capsys, bad):
+        # NaN or complex ground truth made every reported RSE NaN
+        truth = np.ones((4, 5, 3), dtype=complex if np.iscomplexobj(bad) else float)
+        truth[1, 2, 0] = bad
+        pm, pk, pt = tmp_path / "m.tlt", tmp_path / "mask.tlt", tmp_path / "t.tlt"
+        write_container(pm, np.ones((4, 5, 3)))
+        write_container(pk, sample_mask((4, 5, 3), 0.5, 1))
+        write_container(pt, truth)
+        code = main(["complete", "--input", str(pm), "--mask", str(pk), "--ground-truth", str(pt),
+                     "--transform", "fft", "--max-iters", "3", "--out", str(tmp_path / "o.tlt")])
+        err = capsys.readouterr().err
+        assert code == 2 and "ground truth" in err and "Traceback" not in err
+        assert not (tmp_path / "o.tlt").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_metrics_on_complex_containers_exit_2(self, tmp_path, capsys):
+        # printed a PSNR read off the real parts, with a numpy ComplexWarning, and exited 0
+        a = np.ones((2, 2, 2), dtype=complex)
+        a[0, 0, 0] = 1 + 1j
+        write_container(tmp_path / "a.tlt", a)
+        write_container(tmp_path / "b.tlt", np.ones((2, 2, 2), dtype=complex))
+        code = main(["metrics", "--a", str(tmp_path / "a.tlt"), "--b", str(tmp_path / "b.tlt")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "PSNR needs real tensors" in err
+
     @pytest.mark.parametrize("bad", [np.nan, 1j])
     def test_complete_rejects_bad_data_exit_2(self, tmp_path, capsys, bad):
         m = np.ones((4, 5, 3), dtype=complex if np.iscomplexobj(bad) else float)

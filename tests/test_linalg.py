@@ -9,6 +9,7 @@ from ltensor.btph import cproduct_via_btph
 from ltensor.core import as_rep_stack, fro_norm, from_rep_stack, rep_matrix
 from ltensor.errors import LTensorError, ParameterError, ShapeError, UnsupportedSpecError
 from ltensor.linalg import (
+    LFactors,
     identity_tensor,
     is_orthogonal,
     l_product,
@@ -161,6 +162,13 @@ class TestOrthogonality:
         assert is_orthogonal(f.u, make_spec("fft", f.u.shape), tol=1e-9)
         assert is_orthogonal(f.v, make_spec("fft", f.v.shape), tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_rejects_a_tolerance_below_zero_or_nan(self, tol):
+        # returned False instead of refusing the tolerance
+        spec = make_spec("fft", (3, 3, 2))
+        with pytest.raises(ParameterError, match="tol must be >= 0"):
+            is_orthogonal(identity_tensor(3, (2,), spec), spec, tol)
+
     def test_all_ones_not_orthogonal(self):
         spec = make_spec("fft", (2, 2, 2))
         assert not is_orthogonal(np.ones((2, 2, 2)), spec)
@@ -287,6 +295,26 @@ class TestTruncate:
             with pytest.raises(ParameterError, match="truncation rank 1.5"):
                 call()
         np.testing.assert_array_equal(truncate(f, np.int64(2)), truncate(f, 2))
+
+
+class TestResultEquality:
+    # the dataclass-generated __eq__ raised numpy ValueError: truth value of an array is ambiguous
+    @pytest.mark.parametrize("op", [t_svd, ranks])
+    def test_results_compare_by_value(self, op, rng):
+        a = rng.standard_normal((4, 3, 2, 2))
+        spec = make_spec("dct", a.shape)
+        assert op(a, spec) == op(a.copy(), spec)
+        assert not op(a, spec) != op(a, spec)
+        assert op(a, spec) != op(np.zeros_like(a), spec)
+        assert op(a, spec) != "a result"
+
+    def test_factors_of_other_shapes_or_specs_differ(self, rng):
+        a = rng.standard_normal((4, 3, 2))
+        spec = make_spec("fft", a.shape)
+        f = t_svd(a, spec)
+        assert f != t_svd(a[:3], spec) and ranks(a, spec) != ranks(a[:, :2], spec)
+        # equal arrays, other spec: the same tensors, but not the same factorization
+        assert f != LFactors(f.u, f.s, f.v, f.tube_norms, make_spec("dct", a.shape))
 
 
 class TestRanks:

@@ -71,6 +71,16 @@ class TestCproductMatrix:
 
 
 class TestApplyL:
+    @pytest.mark.parametrize("kind", ["cprod", "explicit"])
+    @pytest.mark.parametrize("dtype", [np.int64, bool, np.float32])
+    def test_no_transformed_modes_work_in_double(self, kind, dtype):
+        # returned int64, bool and float32 unchanged, where fft and dct promote to float64
+        x = (np.arange(24).reshape(2, 3, 4) % 3).astype(dtype)
+        spec = make_spec(kind, x.shape, modes=(), matrices={} if kind == "explicit" else None)
+        for out in (apply_l(x, spec), apply_l_inv(x, spec)):
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, x.astype(np.float64))
+
     def test_zeros(self):
         spec = make_spec("dct", (2, 2, 3))
         assert fro_norm(apply_l(np.zeros((2, 2, 3)), spec)) == 0.0
@@ -337,6 +347,29 @@ class TestSpecConstruction:
         assert eye != double
         assert eye == make_spec("explicit", (2, 2, 3), matrices={3: np.eye(3)})
         assert make_spec("dct", (2, 2, 3)) == make_spec("dct", (2, 2, 3))
+
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
+    def test_matrices_and_inverses_are_read_only(self, kind, rng):
+        # += 5 on an explicit matrix left the cached inverse stale: round trips off by 6.1
+        x = rng.standard_normal((2, 3, 4, 3))
+        matrices = {3: 2.0 * np.eye(4), 4: np.eye(3) + np.diag([0.5, 0.5], 1)} if kind == "explicit" else None
+        spec = make_spec(kind, x.shape, matrices=matrices)
+        before = apply_l_inv(apply_l(x, spec), spec)
+        for mode in spec.modes:
+            for mat in (spec.mode_matrix(mode), spec.mode_inverse(mode)):
+                with pytest.raises(ValueError, match="read-only"):
+                    mat[0, 0] += 5
+        np.testing.assert_array_equal(apply_l_inv(apply_l(x, spec), spec), before)
+
+    @pytest.mark.parametrize(
+        "field, value", [("kind", "dct"), ("modes", (4,)), ("sizes", (5,)), ("alpha", None)]
+    )
+    def test_fields_cannot_be_reassigned(self, field, value):
+        # __hash__ reads these fields, and reassigning them changed what the spec meant
+        spec = make_spec("fft", (2, 2, 3, 5), modes=(3,))
+        with pytest.raises(AttributeError):
+            setattr(spec, field, value)
+        assert (spec.kind, spec.modes, spec.sizes, spec.alpha) == ("fft", (3,), (3,), 3.0)
 
     def test_explicit_spec_keeps_its_matrix(self):
         mat = np.eye(3) + np.diag([0.5, 0.5], 1)

@@ -200,6 +200,18 @@ class TestCap:
         assert big.shape == (9,) and big.flags.c_contiguous and not np.shares_memory(big, buffers["small"])
 
 
+class TestFresh:
+    def test_role_none_is_a_fresh_array_outside_the_workspace(self):
+        # role None was a workspace role like any other, reused by the next request
+        def run():
+            a, b = core.scratch(None, (4,), float), core.scratch(None, (4,), float)
+            return a, b, dict(core._buffers()), core.in_workspace(a)
+
+        a, b, buffers, held = _run_in_thread(run)
+        assert buffers == {} and not held and not np.shares_memory(a, b)
+        assert a.shape == (4,) and a.flags.c_contiguous and a.dtype == np.float64
+
+
 class TestReuse:
     @pytest.mark.parametrize("kind", KINDS)
     def test_warm_repeat_calls_add_no_buffers(self, kind, rng):
