@@ -48,9 +48,9 @@ def _observed(mask, shape) -> np.ndarray:
 
 
 def _real_finite(t, what) -> np.ndarray:
-    """t as a float64 array; ParameterError unless every entry is real and finite."""
+    """t as a float64 array; ParameterError unless t holds bools, integers or floats, all finite."""
     t = np.asarray(t)
-    if np.iscomplexobj(t):
+    if t.dtype.kind not in "biuf":
         raise ParameterError(f"completion needs real {what}, got {t.dtype}")
     t = t.astype(float, copy=False)
     if not np.isfinite(t).all():

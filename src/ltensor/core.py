@@ -22,12 +22,13 @@ memory instead of mapping and faulting fresh pages.  Under every kind these
 are a transform's rep-order copy of its input (made when the input is not in
 rep order, or when it must be promoted to double precision) and
 :func:`ltensor.linalg.l_product`'s facewise product; under the matrix kinds
-also every mode product but the last and each operand's L-domain stack.  fft
-and dct results are scipy.fft's own arrays.  A role's buffer grows to its
-largest request and is kept for the thread's lifetime; the buffers of one
-thread hold at most ``WORKSPACE_CAP`` bytes, and a request past that cap, or
-for role None, is a fresh array.  No public function returns workspace
-memory or a view of it, and an inverse transform never overwrites it.
+(every kind but fft) also every mode product but the last and each operand's
+L-domain stack.  fft results are scipy.fft's own arrays.  A role's buffer
+grows to its largest request and is kept for the thread's lifetime; the
+buffers of one thread hold at most ``WORKSPACE_CAP`` bytes, and a request past
+that cap, or for role None, is a fresh array.  No public function returns
+workspace memory or a view of it, and an inverse transform never overwrites
+it.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Container layout, all little-endian regardless of host:
     magic   4 bytes  b"TLT1"
     order   uint8    N, 2 <= N <= 8
     dims    N x uint64
-    dtype   uint8    0 = float64 (integer tensors too), 1 = float32, 2 = complex128, 3 = bool byte
+    dtype   uint8    0 = float64 (integer tensors too), 1 = float32, 2 = complex128, 3 = bool byte (0 or 1)
     payload entries in generalized column-major (Fortran) order
 """
 
@@ -87,6 +87,10 @@ def read_container(path) -> np.ndarray:
         raise FormatError(f"dims {dims} at byte 5 are too large for an array")
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
     if code == 3:
+        bad = np.flatnonzero(np.frombuffer(payload, np.uint8) > 1)
+        if bad.size:
+            i = int(bad[0])
+            raise FormatError(f"bool byte {payload[i]} at offset {dims_end + 1 + i}, expected 0 or 1")
         return arr.astype(bool)
     return arr.copy()
 

@@ -1,8 +1,9 @@
 """Mode-wise invertible transforms defining the *_L product family.
 
 A :class:`TransformSpec` fixes the operator L: which trailing modes are
-transformed and by which matrices M_i.  Two kinds apply fixed M_i by fast
-transforms; two store their matrices and ``np.linalg.inv`` inverses alike:
+transformed and by which matrices M_i.  fft applies its fixed M_i by fast
+transforms; the other three store their matrices and ``np.linalg.inv``
+inverses alike:
 
 * ``fft`` - unnormalized DFT along each transformed mode (t-product family).
 * ``dct`` - orthogonal DCT-II matrix (TNN-PGA-C style solving).
@@ -11,19 +12,21 @@ transforms; two store their matrices and ``np.linalg.inv`` inverses alike:
 
 ``alpha`` is the product over transformed modes of the unitarity scales s_i
 with M_i M_i* = s_i I, so that ||a||_F^2 = alpha^{-1} ||L(a)||_F^2 for
-unitary-scaled kinds (alpha = prod I_i for fft, 1 for dct).  One Gram test
-per M_i finds s_i for the matrix kinds; alpha is None if one fails (cprod on
-a mode of size >= 2), which disables the nuclear-norm/SVT theory.
+unitary-scaled kinds (alpha = prod I_i for fft).  One Gram test per M_i finds
+s_i for the matrix kinds: dct gives 1 up to rounding (1.0000000000000002 on
+modes of sizes 7, 9 and 11), and alpha is None if one fails (cprod on a mode
+of size >= 2), which disables the nuclear-norm/SVT theory.
 
 Every transform runs on the rep-stack block array, the one view
 :func:`ltensor.core.rep_block`; its memory order and the workspace are
 described in :mod:`ltensor.core`.  Each step writes where
 :func:`ltensor.core.scratch` puts it: a workspace role, or a fresh array for
-role None.  fft and dct transform all their modes in one multi-axis
-``scipy.fft`` call (``fftn``/``dctn`` and inverses).  The matrix kinds take
-one :func:`ltensor.core.mode_n_product` per mode.  Every kind works in double
-precision (complex when L or the input is), so a spec with no transformed
-modes also returns float64 for integer, boolean or float32 input.
+role None.  fft transforms all its modes in one multi-axis ``scipy.fft``
+call (``fftn``/``ifftn``): a dense complex DFT costs about 4x a real one.
+The matrix kinds, dct included, take one :func:`ltensor.core.mode_n_product`
+per mode.  Every kind works in double precision (complex when L or the input
+is), so a spec with no transformed modes also returns float64 for integer,
+boolean or float32 input.
 
 No NaN or inf enters or leaves the L-domain: every forward and inverse
 transform makes one finiteness pass over its result and raises
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -75,7 +77,8 @@ def build_cproduct_matrix(n: int) -> np.ndarray:
     return w_inv @ c @ iz
 
 
-_BUILDERS = {"fft": build_fourier_matrix, "dct": build_dct_matrix}
+# The kinds that build their own mode matrices and then run as ``explicit`` does.
+_BUILDERS = {"dct": build_dct_matrix, "cprod": build_cproduct_matrix}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -123,12 +126,12 @@ class TransformSpec:
         return hash((self.kind, self.modes, self.sizes))  # equal specs agree on these
 
     def mode_matrix(self, mode: int) -> np.ndarray:
-        """The transform matrix for one mode (built lazily for the fast kinds)."""
+        """The transform matrix for one mode (built lazily for fft)."""
         if mode not in self.modes:
             raise TransformError(f"mode {mode} is not transformed by this spec")
         if mode not in self._matrices:
             n = self.sizes[self.modes.index(mode)]
-            self._matrices[mode] = _read_only(_BUILDERS[self.kind](n))
+            self._matrices[mode] = _read_only(build_fourier_matrix(n))
         return self._matrices[mode]
 
     def mode_inverse(self, mode: int) -> np.ndarray:
@@ -168,10 +171,8 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
 
     if kind == "fft":
         return TransformSpec("fft", modes, sizes, float(np.prod(sizes)))
-    if kind == "dct":
-        return TransformSpec("dct", modes, sizes, 1.0)
-    if kind == "cprod":
-        matrices = {m: build_cproduct_matrix(n) for m, n in zip(modes, sizes)}
+    if kind in _BUILDERS:
+        matrices = {m: _BUILDERS[kind](n) for m, n in zip(modes, sizes)}
     elif kind != "explicit":
         raise TransformError(f"unknown transform kind {kind!r}")
     elif matrices is None:
@@ -206,14 +207,6 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     return TransformSpec(kind, modes, sizes, alpha if 0.0 < alpha < math.inf else None, mats, inverses)
 
 
-# Fast (forward, inverse) pair per kind, each one multi-axis scipy.fft call;
-# other kinds use the mode matrices.
-_FAST = {
-    "fft": (scipy.fft.fftn, scipy.fft.ifftn),
-    "dct": (partial(scipy.fft.dctn, type=2, norm="ortho"), partial(scipy.fft.idctn, type=2, norm="ortho")),
-}
-
-
 # The two workspace roles the rep-order copy and the mode products alternate between.
 _STEPS = ("transforms.step0", "transforms.step1")
 
@@ -226,7 +219,6 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
                 f"tensor of shape {x.shape} does not match spec modes {spec.modes} "
                 f"with sizes {spec.sizes}"
             )
-    fast = _FAST.get(spec.kind)
     block = rep_block(x)  # mode m is its axis N - m
     # L is computed in double precision under every kind (scipy.fft would keep single)
     dtype = np.promote_types(x.dtype, np.float64)
@@ -235,17 +227,23 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
         copy = scratch(_STEPS[1] if spec.modes else role, block.shape, dtype)
         np.copyto(copy, block)
         block = copy
+    # the result may take the memory of an input handed over, never the workspace's
+    owned = block if overwrite and block.flags.writeable and not in_workspace(block) else None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, refused below
-        if fast is not None and spec.modes:
-            # scipy may return its input's memory when overwriting: never overwrite the workspace
-            overwrite = overwrite and not in_workspace(block)
-            block = fast[inverse](block, axes=[x.ndim - m for m in spec.modes], overwrite_x=overwrite)
+        if spec.kind == "fft" and spec.modes:  # one multi-axis scipy.fft call
+            fft = scipy.fft.ifftn if inverse else scipy.fft.fftn
+            block = fft(block, axes=[x.ndim - m for m in spec.modes], overwrite_x=owned is not None)
         else:
             modes = tuple(reversed(spec.modes)) if inverse else spec.modes
             for i, mode in enumerate(modes):
                 mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
                 dtype = np.result_type(block, mat)
-                out = scratch(_STEPS[i % 2] if i < len(modes) - 1 else role, block.shape, dtype)
+                if i < len(modes) - 1:
+                    out = scratch(_STEPS[i % 2], block.shape, dtype)
+                elif i > 0 and owned is not None and owned.dtype == dtype:
+                    out = owned  # only the first product read it
+                else:
+                    out = scratch(role, block.shape, dtype)
                 block = mode_n_product(block, mat, x.ndim - mode + 1, out=out)
     # Every mode matrix is invertible, so a NaN or inf input leaves NaN or inf in the result.
     if not np.isfinite(block).all():
@@ -255,7 +253,7 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
 
 
 def apply_l(x, spec: TransformSpec, *, _scratch=None) -> np.ndarray:
-    """L(x): successive mode products with M_i over spec.modes (fast transforms for fft/dct).
+    """L(x): successive mode products with M_i over spec.modes (fast transforms for fft).
 
     Raises ``ParameterError`` when the result holds NaN or inf: a non-finite
     input or an overflow.  The result is a new array.  ``_scratch`` is
@@ -273,9 +271,10 @@ def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite:
     residual test.  With ``assume_real`` the source is known real: the
     imaginary residual must stay below 1e-9 relative and is discarded; larger
     residuals signal a corrupted transform-domain tensor.  xhat is left
-    unchanged unless ``overwrite`` hands it over: fft and dct may then
-    transform in its memory (never in workspace memory).  The result is a new
-    array unless xhat was handed over.
+    unchanged unless ``overwrite`` hands it over: the result may then take
+    its memory (fft transforms in place; the matrix kinds write their last
+    mode product there when there are two or more), never workspace memory.
+    The result is a new array unless xhat was handed over.
     """
     out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite)
     if assume_real and np.iscomplexobj(out):

@@ -410,6 +410,18 @@ class TestPgaComplete:
             pga_complete(m, sample_mask(m.shape, 0.5, 1), CompletionConfig(spec=spec, max_iters=3),
                          ground_truth=truth(m))
 
+    @pytest.mark.parametrize("which", ["data", "ground truth"])
+    @pytest.mark.parametrize("fill", ["x", None], ids=["str", "object"])
+    def test_rejects_non_numeric_data_or_ground_truth(self, which, fill, monkeypatch):
+        # numpy's "could not convert string to float" escaped from astype(float)
+        m, spec = low_rank((4, 5, 3), 1, 3)
+        bad = np.full(m.shape, fill)
+        data, truth = (bad, m) if which == "data" else (m, bad)
+        monkeypatch.setattr(ltensor.completion, "svt", _no_svt)
+        with pytest.raises(ParameterError, match=f"completion needs real {which}, got {bad.dtype}"):
+            pga_complete(data, sample_mask(m.shape, 0.5, 1), CompletionConfig(spec=spec, max_iters=3),
+                         ground_truth=truth)
+
 
 def _no_svt(*args, **kwargs):
     raise AssertionError("the solver ran before its inputs were checked")

@@ -92,6 +92,17 @@ class TestContainer:
         assert main(["metrics", "--a", str(path), "--b", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("byte", [7, 255])
+    def test_bool_byte_other_than_0_or_1(self, tmp_path, byte):
+        # read back as True: a damaged mask file passed its entries as observed
+        path = tmp_path / "mask.tlt"
+        write_container(path, np.zeros((2, 2, 2), dtype=bool))
+        data = bytearray(path.read_bytes())
+        data[-1] = byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"bool byte {byte} at offset {len(data) - 1}, expected 0 or 1"):
+            read_container(path)
+
     def test_uint8_round_trips_as_float64(self, tmp_path):
         path = tmp_path / "x.tlt"
         x = np.array([0, 5, 7, 255], dtype=np.uint8).reshape(2, 2)

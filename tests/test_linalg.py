@@ -640,10 +640,12 @@ class TestNonFinite:
         assert len(sizes) == passes and sizes[0] == a.size  # is_orthogonal inverts a stack of 2x the rows
 
     def test_overflowing_inverse_raises_without_warning(self):
-        # both dct-domain slices hold a finite 7.2e307; the orthogonal inverse
-        # sums them, and [inf, 2.99e292] came back with no warning or error
+        # both dct-domain slices hold a finite 1.4e308 and the orthogonal inverse
+        # sums them: the exact product, 2.0e308, is beyond the float range.  With
+        # 1.2e154, whose finite product (1.0e308) the dense DCT returns but
+        # pocketfft overflowed on, [inf, 2.99e292] came back with no warning or error.
         a = np.zeros((1, 1, 2))
-        a[0, 0, 0] = 1.2e154
+        a[0, 0, 0] = 1.7e154
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="inverse-transformed results hold NaN or inf"):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from ltensor.core import as_rep_stack, fro_norm, inner_product, mode_n_product
 from ltensor.errors import NumericConsistencyError, ParameterError, TransformError
@@ -180,6 +181,22 @@ class TestApplyL:
         np.testing.assert_allclose(apply_l_inv(xhat, spec), back, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(apply_l_inv(xhat, spec, assume_real=True), x, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "shape, modes",
+        [((2, 3, 4, 1, 3), (3, 5)), ((2, 3, 4, 1, 3), (4, 5)), ((3, 2, 2, 3, 2), None), ((2, 2, 1, 3), (3,))],
+    )
+    def test_dct_matches_scipy_on_mode_subsets(self, shape, modes, rng):
+        # dct runs as one mode product per DCT-II matrix; scipy.fft's orthonormal dctn is the reference
+        spec = make_spec("dct", shape, modes=modes)
+        axes = [m - 1 for m in spec.modes]
+        x = rng.standard_normal(shape)
+        xhat = apply_l(x, spec)
+        np.testing.assert_allclose(xhat, scipy.fft.dctn(x, type=2, norm="ortho", axes=axes), rtol=1e-12, atol=1e-12)
+        y = rng.standard_normal(shape)
+        expected = scipy.fft.idctn(y, type=2, norm="ortho", axes=axes)
+        np.testing.assert_allclose(apply_l_inv(y, spec), expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(apply_l_inv(xhat, spec, assume_real=True), x, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
     def test_rep_stack_of_the_transform_is_a_free_view(self, kind, rng):
         shape = (3, 4, 2, 3)
@@ -201,6 +218,27 @@ class TestApplyL:
         # handing the input over gives the same result
         owned = apply_l_inv(xhat, spec, assume_real=assume_real and kind != "explicit", overwrite=True)
         np.testing.assert_array_equal(owned, out)
+
+    @pytest.mark.parametrize("kind", ["dct", "cprod", "explicit"])
+    def test_matrix_kinds_write_the_last_product_into_a_handed_over_input(self, kind, rng):
+        # as fft transforms in place: a fresh result per inverse made a dct solve take 5x the page faults
+        shape = (3, 4, 2, 3)
+        spec = _spec_of_kind(kind, shape, rng)
+        xhat = apply_l(rng.standard_normal(shape), spec)
+        expected = apply_l_inv(xhat, spec)
+        owned = apply_l_inv(xhat, spec, overwrite=True)
+        assert np.shares_memory(owned, xhat)
+        np.testing.assert_array_equal(owned, expected)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
+    def test_a_read_only_input_handed_over_is_left_alone(self, kind, rng):
+        shape = (3, 4, 2, 3)
+        spec = _spec_of_kind(kind, shape, rng)
+        xhat = apply_l(rng.standard_normal(shape), spec)
+        expected, kept = apply_l_inv(xhat, spec), xhat.copy()
+        xhat.flags.writeable = False
+        np.testing.assert_array_equal(apply_l_inv(xhat, spec, overwrite=True), expected)
+        np.testing.assert_array_equal(xhat, kept)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_single_precision_is_transformed_in_double(self, kind, rng):
@@ -257,16 +295,19 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("kind", _ALL_KINDS)
     def test_overflowing_forward_transform_is_refused(self, kind):
-        # fft and dct returned inf; the matrix kinds warned "overflow encountered in matmul"
-        a = np.full((3, 3, 2), 1e308)
+        # fft and dct returned inf; the matrix kinds warned "overflow encountered in matmul".
+        # The exact dct of 1.5e308 (2.1e308) is beyond the float range; the dense DCT
+        # maps 1e308 to a finite 1.4e308, where pocketfft's intermediate sum overflowed.
+        a = np.full((3, 3, 2), 1.5e308)
         with pytest.raises(ParameterError, match="transform-domain slices hold NaN or inf"):
             apply_l(a, _overflowing_spec(kind, a.shape))
 
     # cprod's inverse matrices have rows of absolute sum 1, so no finite input overflows them
     @pytest.mark.parametrize("kind", ["fft", "dct", "explicit"])
     def test_overflowing_inverse_is_refused(self, kind):
-        a = np.full((3, 3, 2), 1e308)
-        a[:, :, 1] = -1e308
+        # as going forward, the exact dct inverse of +-1.5e308 (2.1e308) is beyond the float range
+        a = np.full((3, 3, 2), 1.5e308)
+        a[:, :, 1] = -1.5e308
         with pytest.raises(ParameterError, match="inverse-transformed results hold NaN or inf"):
             apply_l_inv(a, _overflowing_spec(kind, a.shape))
 
