@@ -37,10 +37,6 @@ def _parse_modes(text):
     return modes
 
 
-def _spec_for(args, shape):
-    return make_spec(args.transform, shape, modes=args.modes)
-
-
 def _add_transform_flags(p):
     p.add_argument("--transform", choices=("fft", "dct", "cprod"), required=True)
     p.add_argument(
@@ -118,7 +114,7 @@ def _cmd_complete(args):
     mask = io.read_container(args.mask)
     solver_fields = {f.name for f in dataclasses.fields(completion.CompletionConfig)}
     given = {k: v for k, v in vars(args).items() if k in solver_fields}
-    cfg = completion.CompletionConfig(spec=_spec_for(args, m.shape), **given)
+    cfg = completion.CompletionConfig(spec=make_spec(args.transform, m.shape, modes=args.modes), **given)
     truth = io.read_container(args.ground_truth) if args.ground_truth else None
     x, trace = completion.pga_complete(m, mask, cfg, ground_truth=truth)
     io.write_container(args.out, x)
@@ -133,7 +129,7 @@ def _cmd_complete(args):
 
 def _cmd_tsvd(args):
     a = io.read_container(args.input)
-    spec = _spec_for(args, a.shape)
+    spec = make_spec(args.transform, a.shape, modes=args.modes)
     f = linalg.t_svd(a, spec)
     u, s, v = (f.u, f.s, f.v) if args.truncate is None else f.leading(args.truncate)
     io.write_container(args.out_u, u)
@@ -144,13 +140,13 @@ def _cmd_tsvd(args):
 def _cmd_product(args):
     a = io.read_container(args.a)
     b = io.read_container(args.b)
-    spec = _spec_for(args, a.shape)
+    spec = make_spec(args.transform, a.shape, modes=args.modes)
     io.write_container(args.out, linalg.l_product(a, b, spec))
 
 
 def _cmd_svt(args):
     a = io.read_container(args.input)
-    spec = _spec_for(args, a.shape)
+    spec = make_spec(args.transform, a.shape, modes=args.modes)
     io.write_container(args.out, linalg.svt(a, args.tau, spec))
 
 

@@ -135,6 +135,8 @@ class CompletionConfig:
 
     def validate(self):
         """Raise ParameterError for any value out of range; NaN is out of every range."""
+        if not isinstance(self.spec, TransformSpec):
+            raise ParameterError(f"spec must be a TransformSpec from make_spec, got {type(self.spec).__name__}")
         if not 0.0 < self.nu < 1.0:
             raise ParameterError(f"nu must be in (0, 1), got {self.nu}")
         if not 0.0 < self.tol:
@@ -197,7 +199,6 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
     mask = _observed(mask, m.shape)
     if ground_truth is not None:
         m, ground_truth = same_shape(m, _real_finite(ground_truth, "ground truth"))
-    zero_observation = fro_norm(project_omega(m, mask)) == 0.0
     m, mask = (from_rep_stack(as_rep_stack(t), t.shape[2:]) for t in (m, mask))
     mu0 = cfg.nu * fro_norm(m) if cfg.mu0 is None else float(cfg.mu0)
     mu_bar = cfg.mu_bar_ratio * mu0
@@ -220,8 +221,8 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
         den = fro_norm(x_next)
         if den > 0.0:
             rel = num / den
-        elif zero_observation:
-            rel = 0.0  # zero observation: zeros are the exact solution
+        elif not g.any():
+            rel = 0.0  # g is zero exactly when every observation is: zeros are the exact solution
         else:
             rel = math.inf  # shrinkage still zeroes everything; keep iterating
 

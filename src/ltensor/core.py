@@ -86,8 +86,14 @@ def _as_tensor(x) -> np.ndarray:
 
 
 def is_count(value, low=0) -> bool:
-    """Whether value is an integer (Python or numpy) >= low; floats are not, even 2.0."""
-    return isinstance(value, numbers.Integral) and value >= low
+    """Whether value is an integer (Python or numpy) >= low; floats are not, even 2.0, nor are bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def _check_index(value, high, what="mode") -> None:
+    """ModeError unless value is an integer in [1, high]: the one rule for 1-based modes and indices."""
+    if not (is_count(value, 1) and value <= high):
+        raise ModeError(f"{what} {value} out of range [1, {high}]")
 
 
 def same_shape(a, b):
@@ -140,9 +146,7 @@ def num_rep(dims) -> int:
 
 def rep_index_to_multi(p: int, dims) -> tuple:
     """Decode 1-based p into the trailing multi-index (k_3, ..., k_N)."""
-    P = num_rep(dims)
-    if not 1 <= p <= P:
-        raise ModeError(f"representative index {p} out of range [1, {P}]")
+    _check_index(p, num_rep(dims), "representative index")
     multi = np.unravel_index(p - 1, dims[2:], order="F")
     return tuple(int(k) + 1 for k in multi)
 
@@ -195,8 +199,7 @@ def from_rep_stack(stack, trailing_dims) -> np.ndarray:
 def mode_n_unfold(x, n: int) -> np.ndarray:
     """Mode-n matricization: mode-n fibers become columns (Kolda ordering)."""
     x = _as_tensor(x)
-    if not 1 <= n <= x.ndim:
-        raise ModeError(f"mode {n} out of range [1, {x.ndim}]")
+    _check_index(n, x.ndim)
     return np.moveaxis(x, n - 1, 0).reshape(x.shape[n - 1], -1, order="F")
 
 
@@ -204,8 +207,7 @@ def mode_n_fold(m, n: int, dims) -> np.ndarray:
     """Inverse of :func:`mode_n_unfold` for the given target dims."""
     m = np.asarray(m)
     dims = tuple(int(d) for d in dims)
-    if not 1 <= n <= len(dims):
-        raise ModeError(f"mode {n} out of range [1, {len(dims)}]")
+    _check_index(n, len(dims))
     rest = dims[: n - 1] + dims[n:]
     if m.shape != (dims[n - 1], int(np.prod(rest, dtype=np.int64))):
         raise ShapeError(f"unfolded shape {m.shape} does not match dims {dims}")
@@ -221,8 +223,7 @@ def mode_n_product(x, u, n: int, out=None) -> np.ndarray:
     """
     x = _as_tensor(x)
     u = np.atleast_2d(np.asarray(u))
-    if not 1 <= n <= x.ndim:
-        raise ModeError(f"mode {n} out of range [1, {x.ndim}]")
+    _check_index(n, x.ndim)
     if u.shape[1] != x.shape[n - 1]:
         raise ShapeError(
             f"matrix with {u.shape[1]} columns cannot act on mode of size {x.shape[n - 1]}"

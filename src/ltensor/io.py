@@ -44,10 +44,16 @@ def _dtype_code(x: np.ndarray) -> int:
 
 
 def write_container(path, x) -> None:
-    """Write a tensor to the TLT1 container format."""
+    """Write a tensor to the TLT1 container format.
+
+    Raises ``FormatError`` for an order outside 2..8 or a dtype that is not
+    bool, integer, float or complex, before the file is opened.
+    """
     x = np.asarray(x)
     if not 2 <= x.ndim <= 8:
         raise FormatError(f"container supports orders 2..8, got {x.ndim}")
+    if x.dtype.kind not in "biufc":
+        raise FormatError(f"container holds numbers or bools, got dtype {x.dtype}")
     code = _dtype_code(x)
     payload = np.asfortranarray(x).astype(_DTYPES[code], copy=False)
     with open(path, "wb") as fh:

@@ -91,8 +91,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class TransformSpec:
     """The operator L: transformed modes, per-mode matrices and their inverses, scaling.
 
-    Immutable: fields cannot be reassigned, and every matrix and inverse it
-    hands out, built lazily or not, is read-only.
+    Immutable: fields cannot be reassigned, and :func:`make_spec` stores every
+    matrix and inverse a spec holds, read-only.  fft stores none: its
+    transforms run on ``scipy.fft``, and :meth:`mode_matrix` and
+    :meth:`mode_inverse` build its (read-only) pair on each call.
     """
 
     kind: str
@@ -118,38 +120,37 @@ class TransformSpec:
             return NotImplemented
         if (self.kind, self.modes, self.sizes) != (other.kind, other.modes, other.sizes):
             return False
-        return self.kind != "explicit" or all(
-            np.array_equal(self._matrices[m], other._matrices[m]) for m in self.modes
-        )
+        return all(np.array_equal(mat, other._matrices[m]) for m, mat in self._matrices.items())
 
     def __hash__(self):
         return hash((self.kind, self.modes, self.sizes))  # equal specs agree on these
 
     def mode_matrix(self, mode: int) -> np.ndarray:
-        """The transform matrix for one mode (built lazily for fft)."""
-        if mode not in self.modes:
-            raise TransformError(f"mode {mode} is not transformed by this spec")
-        if mode not in self._matrices:
-            n = self.sizes[self.modes.index(mode)]
-            self._matrices[mode] = _read_only(build_fourier_matrix(n))
-        return self._matrices[mode]
+        """The transform matrix for one mode, read-only (fft's DFT matrix is built on each call)."""
+        return self._pair(mode)[0]
 
     def mode_inverse(self, mode: int) -> np.ndarray:
-        """The inverse of :meth:`mode_matrix`, computed once per mode."""
-        if mode not in self._inverses:
-            self._inverses[mode] = _read_only(np.linalg.inv(self.mode_matrix(mode)))
-        return self._inverses[mode]
+        """The inverse of :meth:`mode_matrix`, read-only (fft's exact conj(F) / n is built on each call)."""
+        return self._pair(mode)[1]
+
+    def _pair(self, mode):
+        if mode not in self.modes:
+            raise TransformError(f"mode {mode} is not transformed by this spec")
+        if mode in self._matrices:
+            return self._matrices[mode], self._inverses[mode]
+        f = build_fourier_matrix(self.sizes[self.modes.index(mode)])
+        return _read_only(f), _read_only(f.conj() / len(f))
 
 
 def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     """Build a TransformSpec for tensors of the given shape.
 
-    Dims and ``modes`` are integers (Python or numpy).  ``modes`` defaults to
-    all trailing modes 3..N; each may appear once.  ``matrices`` is only for
-    kind ``explicit`` (mode -> invertible matrix); the other kinds build their
-    own and reject it.  ``alpha`` is None unless the product of the Gram
-    scales is a finite float > 0, so a matrix too large or small to square in
-    double precision gives None.
+    Dims and ``modes`` are integers (Python or numpy, not bool).  ``modes``
+    defaults to all trailing modes 3..N; each may appear once.  ``matrices``
+    is only for kind ``explicit`` (mode -> invertible matrix); the other kinds
+    build their own and reject it.  ``alpha`` is None unless the product of
+    the Gram scales is a finite float > 0 (1.0 with no transformed modes), so
+    a matrix too large or small to square in double precision gives None.
     """
     shape = tuple(shape)
     if len(shape) < 3 or not all(is_count(d) for d in shape):
@@ -203,7 +204,7 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
             s = float(np.trace(gram).real) / n
             if np.linalg.norm(gram - s * np.eye(n)) < _UNITARY_TOL * max(1.0, s):
                 scales.append(s)
-    alpha = math.prod(scales) if len(scales) == len(modes) else math.nan
+    alpha = float(math.prod(scales)) if len(scales) == len(modes) else math.nan
     return TransformSpec(kind, modes, sizes, alpha if 0.0 < alpha < math.inf else None, mats, inverses)
 
 

@@ -175,6 +175,7 @@ class TestConfig:
             {"tol": 0.0},
             {"mu_bar_ratio": 2.0},
             {"max_iters": 0},
+            {"max_iters": True},
         ):
             with pytest.raises(ParameterError):
                 CompletionConfig(spec=spec, **kwargs).validate()
@@ -217,6 +218,12 @@ class TestConfig:
         with pytest.raises(ParameterError, match="unknown RSE denominator"):
             pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), cfg, ground_truth=np.ones((2, 2, 2)))
 
+    def test_validate_rejects_a_spec_that_is_not_a_transform_spec(self):
+        # escaped as AttributeError from require_unitary
+        for spec in (None, "fft"):
+            with pytest.raises(ParameterError, match="spec must be a TransformSpec"):
+                pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), CompletionConfig(spec=spec))
+
     def test_zero_mu0_passes(self):
         CompletionConfig(spec=make_spec("dct", (2, 2, 2)), mu0=0.0).validate()
 
@@ -231,15 +238,22 @@ class TestPgaComplete:
             pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 2), dtype=bool),
                          CompletionConfig(spec=spec))
 
-    def test_zero_observation_converges_to_zero(self):
+    def test_zero_observation_converges_to_zero(self, rng):
         spec = make_spec("fft", (3, 3, 2))
-        out, trace = pga_complete(
-            np.zeros((3, 3, 2)), np.zeros((3, 3, 2), dtype=bool),
-            CompletionConfig(spec=spec),
-        )
-        assert fro_norm(out) == 0.0
-        assert trace.status == "converged"
-        assert trace.iterations == 1
+        # nonzero unobserved entries make mu0 > 0 but leave the observation zero
+        for m in (np.zeros((3, 3, 2)), rng.standard_normal((3, 3, 2))):
+            out, trace = pga_complete(m, np.zeros((3, 3, 2), dtype=bool), CompletionConfig(spec=spec))
+            assert fro_norm(out) == 0.0
+            assert trace.status == "converged"
+            assert trace.iterations == 1
+
+    def test_all_zero_iterates_from_nonzero_observations_keep_iterating(self, rng):
+        # mu0 = 1e6 shrinks every iterate to zero; the zero-observation rule must not stop it
+        m = rng.standard_normal((4, 3, 2))
+        cfg = CompletionConfig(spec=make_spec("fft", m.shape), mu0=1e6, max_iters=3)
+        out, trace = pga_complete(m, sample_mask(m.shape, 0.5, 1), cfg)
+        assert fro_norm(out) == 0.0 and trace.status == "max-iters"
+        assert [r.rel_change for r in trace.records] == [math.inf] * 3
 
     def test_full_mask_recovers_input(self):
         m, spec = low_rank((12, 12, 3), 2, 5)

@@ -98,10 +98,11 @@ class TestUnfold:
         np.testing.assert_array_equal(mode_n_unfold(x, 3), np.arange(1.0, 6.0).reshape(5, 1))
 
     def test_mode_out_of_range(self):
-        with pytest.raises(ModeError):
-            mode_n_unfold(np.ones((2, 2, 2)), 4)
+        for n in (4, 2.0):  # 2.0 escaped as TypeError
+            with pytest.raises(ModeError, match=f"mode {n} out of range"):
+                mode_n_unfold(np.ones((2, 2, 2)), n)
 
-    @pytest.mark.parametrize("n", [0, 4])
+    @pytest.mark.parametrize("n", [0, 4, 2.0])
     def test_fold_mode_out_of_range(self, n):
         with pytest.raises(ModeError, match=r"out of range \[1, 3\]"):
             mode_n_fold(np.ones((2, 4)), n, (2, 2, 2))
@@ -152,7 +153,7 @@ class TestModeNProduct:
         with pytest.raises(ShapeError):
             mode_n_product(np.ones((2, 2, 3)), np.ones((2, 2)), 3)
 
-    @pytest.mark.parametrize("n", [0, 4])
+    @pytest.mark.parametrize("n", [0, 4, 2.0, True])
     def test_mode_out_of_range(self, n):
         with pytest.raises(ModeError, match=r"out of range \[1, 3\]"):
             mode_n_product(np.ones((2, 2, 2)), np.eye(2), n)
@@ -221,8 +222,9 @@ class TestRepMatrix:
         assert len(seen) == P
 
     def test_out_of_range(self):
-        with pytest.raises(ModeError):
-            rep_matrix(np.ones((2, 2, 2)), 3)
+        for p in (3, 1.5):  # 1.5 escaped as TypeError
+            with pytest.raises(ModeError, match=f"representative index {p} out of range"):
+                rep_matrix(np.ones((2, 2, 2)), p)
 
     def test_reassembly(self, rng):
         x = rng.standard_normal((2, 3, 2, 2))

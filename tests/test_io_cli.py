@@ -126,6 +126,16 @@ class TestContainer:
         with pytest.raises(FormatError, match=message):
             read_container(path)
 
+    @pytest.mark.parametrize(
+        "x", [np.array([["a", "b"], ["c", "d"]]), np.array([[1, 2], [3, 4]], dtype=object)], ids=["str", "object"]
+    )
+    def test_write_refuses_non_numeric_arrays(self, tmp_path, x):
+        # the string array escaped as numpy ValueError, after the file was opened
+        path = tmp_path / "x.tlt"
+        with pytest.raises(FormatError, match=f"got dtype {x.dtype}"):
+            write_container(path, x)
+        assert not path.exists()
+
     def test_order_guard_on_write(self, tmp_path):
         with pytest.raises(FormatError):
             write_container(tmp_path / "x.tlt", np.ones(3))

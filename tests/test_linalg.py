@@ -138,9 +138,9 @@ class TestOrthogonality:
         eye = identity_tensor(3, (2, 2), spec)
         assert is_orthogonal(eye, spec)
 
-    @pytest.mark.parametrize("n", [-1, 1.5])
+    @pytest.mark.parametrize("n", [-1, 1.5, True])
     def test_identity_tensor_rejects_bad_sizes(self, n):
-        # -1 escaped as numpy ValueError
+        # -1 escaped as numpy ValueError, True as numpy TypeError
         with pytest.raises(ParameterError, match="identity size must be an integer >= 0"):
             identity_tensor(n, (3,), make_spec("fft", (2, 2, 3)))
 
@@ -287,6 +287,8 @@ class TestTruncate:
             truncate(f, 4)
         with pytest.raises(ParameterError):
             truncate(f, 0)
+        with pytest.raises(ParameterError, match="truncation rank True"):
+            truncate(f, True)  # truncated to rank 1
 
     def test_fractional_k(self, rng):
         # failed while slicing with TypeError

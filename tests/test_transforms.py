@@ -140,13 +140,17 @@ class TestApplyL:
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_fast_matches_explicit(self, kind, rng):
+        # dct runs on its own matrices, so an explicit spec built from them would check nothing
         for _ in range(5):
             shape = random_shape(rng)
             x = rng.standard_normal(shape)
             spec = make_spec(kind, shape)
             fast = apply_l(x, spec)
-            matrices = {m: spec.mode_matrix(m) for m in spec.modes}
-            slow = apply_l(x, make_spec("explicit", shape, matrices=matrices))
+            if kind == "dct":
+                slow = scipy.fft.dctn(x, type=2, norm="ortho", axes=[m - 1 for m in spec.modes])
+            else:
+                matrices = {m: spec.mode_matrix(m) for m in spec.modes}
+                slow = apply_l(x, make_spec("explicit", shape, matrices=matrices))
             np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-10)
 
     def test_linearity(self, rng):
@@ -159,24 +163,23 @@ class TestApplyL:
         rhs = beta * apply_l(a, spec) + apply_l(b, spec)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["fft", "dct"])
     @pytest.mark.parametrize(
         "shape, modes",
         [((2, 3, 4, 1, 3), (3, 5)), ((2, 3, 4, 1, 3), (4, 5)), ((3, 2, 2, 3, 2), None), ((2, 2, 1, 3), (3,))],
     )
-    def test_fast_kinds_match_their_matrices_on_mode_subsets(self, kind, shape, modes, rng):
-        # one multi-axis scipy.fft call against one tensordot per mode with the DFT/DCT matrix
-        spec = make_spec(kind, shape, modes=modes)
-        build = build_fourier_matrix if kind == "fft" else build_dct_matrix
+    def test_fast_kinds_match_their_matrices_on_mode_subsets(self, shape, modes, rng):
+        # one multi-axis scipy.fft call against one tensordot per mode with the DFT matrix;
+        # dct runs on its matrices and is checked against scipy in test_dct_matches_scipy_on_mode_subsets
+        spec = make_spec("fft", shape, modes=modes)
         x = rng.standard_normal(shape)
-        expected = x.astype(complex) if kind == "fft" else x
+        expected = x.astype(complex)
         for m in spec.modes:
-            expected = np.moveaxis(np.tensordot(build(shape[m - 1]), expected, axes=(1, m - 1)), 0, m - 1)
+            expected = np.moveaxis(np.tensordot(build_fourier_matrix(shape[m - 1]), expected, axes=(1, m - 1)), 0, m - 1)
         xhat = apply_l(x, spec)
         np.testing.assert_allclose(xhat, expected, rtol=1e-12, atol=1e-12)
         back = expected
         for m in spec.modes:
-            inv = np.linalg.inv(build(shape[m - 1]))
+            inv = np.linalg.inv(build_fourier_matrix(shape[m - 1]))
             back = np.moveaxis(np.tensordot(inv, back, axes=(1, m - 1)), 0, m - 1)
         np.testing.assert_allclose(apply_l_inv(xhat, spec), back, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(apply_l_inv(xhat, spec, assume_real=True), x, rtol=1e-12, atol=1e-12)
@@ -490,9 +493,17 @@ class TestSpecConstruction:
             make_spec(kind, (2, 2, 3, 4), modes=(3, 3), matrices={3: 2 * np.eye(3)})
 
     def test_mode_matrix_of_an_untransformed_mode(self):
-        spec = make_spec("fft", (2, 2, 3, 4), modes=(3,))
-        with pytest.raises(TransformError, match="mode 4 is not transformed"):
-            spec.mode_matrix(4)
+        for kind in ("fft", "dct", "cprod", "explicit"):
+            spec = make_spec(kind, (2, 2, 3, 4), modes=(3,), matrices={3: np.eye(3)} if kind == "explicit" else None)
+            for get in (spec.mode_matrix, spec.mode_inverse):
+                with pytest.raises(TransformError, match="mode 4 is not transformed"):
+                    get(4)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
+    def test_alpha_is_a_float_with_no_transformed_modes(self, kind):
+        # the matrix kinds gave the int math.prod([]) == 1
+        spec = make_spec(kind, (2, 2, 3), modes=(), matrices={} if kind == "explicit" else None)
+        assert spec.alpha == 1.0 and type(spec.alpha) is float
 
     def test_spec_differing_in_kind_modes_or_sizes_is_unequal(self):
         spec = make_spec("fft", (2, 2, 3, 4))
@@ -504,6 +515,8 @@ class TestSpecConstruction:
     def test_fast_kinds_compute_their_mode_inverse(self):
         spec = make_spec("fft", (2, 2, 3))
         np.testing.assert_allclose(spec.mode_inverse(3), build_fourier_matrix(3).conj() / 3, atol=1e-15)
+        # both were cached into the frozen spec on first use; it still equals a fresh spec
+        assert spec.mode_matrix(3) is not spec.mode_matrix(3) and spec == make_spec("fft", (2, 2, 3))
 
     def test_make_spec_rejects_a_ragged_matrix(self):
         # escaped as numpy ValueError ("inhomogeneous shape")
@@ -532,6 +545,7 @@ class TestSpecConstruction:
         for shape, modes, matrices, message in [
             ((2, 2, 2.5), None, None, "integer dims >= 0"),
             ((2, 2, 3.0), None, None, "integer dims >= 0"),
+            ((True, 2, 3), None, None, "integer dims >= 0"),  # read as (1, 2, 3)
             ((2, 2, 3, 4), [3.7], None, r"mode 3.7 out of range \[3, 4\] \(an integer\)"),
             ((2, 2, 2), None, {3.7: np.eye(2)}, r"matrices given for modes \[3.7\]"),
             ((2, 2, 2), None, {3.0: np.eye(2)}, r"matrices given for modes \[3.0\]"),
