@@ -6,26 +6,17 @@ for small test tensors only; a size guard rejects anything larger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 import scipy.linalg
 
-from .core import as_rep_stack, num_rep, product_operands
+from .core import _as_array, as_rep_stack, num_rep, product_operands
 from .errors import OracleScaleError, ShapeError, StructureError
 from .transforms import TransformSpec, apply_l, build_dct_matrix
 
 _MAX_SIDE = 4096
 _STRUCT_TOL = 1e-8
-
-
-@dataclass
-class BtphMatrix:
-    """Dense btph unrolling plus the dims of the tensor that generated it."""
-
-    matrix: np.ndarray
-    dims: tuple
 
 
 def _guard(dims):
@@ -58,13 +49,13 @@ def _btph_blocks(blocks):
     return np.block(rows)
 
 
-def btph(x) -> BtphMatrix:
+def btph(x) -> np.ndarray:
     """Block-Toeplitz-plus-Hankel matrix of an order >= 3 tensor (recursive)."""
-    x = np.asarray(x)
+    x = _as_array(x)
     if x.ndim < 3:
         raise ShapeError(f"btph needs order >= 3, got order {x.ndim}")
     _guard(x.shape)
-    return BtphMatrix(_btph_rec(x), x.shape)
+    return _btph_rec(x)
 
 
 def _btph_rec(x):
@@ -82,7 +73,7 @@ def ten(m, dims) -> np.ndarray:
     block i equals X^{(i)} + X^{(i+1)} (Toeplitz plus Hankel overlap).  The
     result is re-unrolled and must reproduce ``m``, else StructureError.
     """
-    m = np.asarray(m)
+    m = _as_array(m)
     dims = tuple(int(d) for d in dims)
     _guard(dims)
     P = num_rep(dims)
@@ -123,7 +114,7 @@ def check_diagonalization(x, spec: TransformSpec) -> float:
     ``spec`` must be the cprod kind over all trailing modes; the contract is a
     residual below 1e-10 * (1 + ||x||_F).
     """
-    x = np.asarray(x)
+    x = _as_array(x)
     if spec.kind != "cprod":
         raise StructureError("diagonalization check is defined for the cprod kind")
     if spec.modes != tuple(range(3, x.ndim + 1)):
@@ -132,11 +123,11 @@ def check_diagonalization(x, spec: TransformSpec) -> float:
     left = reduce(np.kron, reversed([np.eye(x.shape[0])] + cs))
     right = reduce(np.kron, reversed([np.eye(x.shape[1])] + cs)).T
     diag = bdiag(apply_l(x, spec))
-    return float(np.linalg.norm(left @ btph(x).matrix @ right - diag))
+    return float(np.linalg.norm(left @ btph(x) @ right - diag))
 
 
 def cproduct_via_btph(a, b) -> np.ndarray:
     """Generalized c-product computed as ten(btph(a) btph(b))."""
     a, b = product_operands(a, b)
-    prod = btph(a).matrix @ btph(b).matrix
+    prod = btph(a) @ btph(b)
     return ten(prod, (a.shape[0], b.shape[1]) + a.shape[2:])

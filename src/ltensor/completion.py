@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import as_rep_stack, fro_norm, from_rep_stack, is_count, same_shape
+from .core import _as_array, as_rep_stack, fro_norm, from_rep_stack, is_count, same_shape
 from .errors import ParameterError, ShapeError
 from .linalg import svt
 from .transforms import TransformSpec
@@ -37,7 +37,7 @@ def _observed(mask, shape) -> np.ndarray:
     exactly 0 or 1; anything else (a probability, NaN, -1) raises
     ``ParameterError`` instead of counting as observed.
     """
-    mask = np.asarray(mask)
+    mask = _as_array(mask)
     if mask.shape != shape:
         raise ShapeError(f"mask shape {mask.shape} does not match data shape {shape}")
     if mask.dtype != bool:
@@ -49,7 +49,10 @@ def _observed(mask, shape) -> np.ndarray:
 
 def _real_finite(t, what) -> np.ndarray:
     """t as a float64 array; ParameterError unless t holds bools, integers or floats, all finite."""
-    t = np.asarray(t)
+    try:
+        t = np.asarray(t)
+    except ValueError as exc:  # numpy's refusal of a ragged nested sequence
+        raise ParameterError(f"completion needs real {what}, got a ragged sequence") from exc
     if t.dtype.kind not in "biuf":
         raise ParameterError(f"completion needs real {what}, got {t.dtype}")
     t = t.astype(float, copy=False)
@@ -64,7 +67,7 @@ def project_omega(x, mask) -> np.ndarray:
     The mask has x's shape and is boolean, or numeric with every entry
     exactly 0 or 1; anything else raises ``ParameterError``.
     """
-    x = np.asarray(x)
+    x = _as_array(x)
     return np.where(_observed(mask, x.shape), x, 0.0)
 
 
@@ -72,7 +75,7 @@ def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
     """Uniform observation mask with exactly round(sr * prod(dims)) entries."""
     if not 0.0 <= sr <= 1.0:
         raise ParameterError(f"sampling ratio must be in [0, 1], got {sr}")
-    if not all(is_count(v) for v in (seed, *dims)):
+    if not np.iterable(dims) or not all(is_count(v) for v in (seed, *dims)):
         raise ParameterError(f"seed and dims must be integers >= 0, got seed {seed} and dims {dims}")
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims, dtype=np.int64))
@@ -83,36 +86,46 @@ def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
     return flat.reshape(dims, order="F")
 
 
+def _error_norm(obtained, original) -> float:
+    """||obtained - original||_F; bools count as 0 and 1 (numpy has no bool minus)."""
+    return fro_norm(np.subtract(obtained, original, dtype=np.result_type(obtained, original, np.int8)))
+
+
 def rse(obtained, original, denominator: str = "obtained") -> float:
     """Relative squared error ||original - obtained||_F^2 / ||obtained||_F^2.
 
     The denominator is the obtained tensor by convention here; pass
-    ``denominator='original'`` for the more common normalization.
+    ``denominator='original'`` for the more common normalization.  The ratio
+    of the two norms is squared, not each norm, so neither overflows nor
+    underflows on its own.
     """
     obtained, original = same_shape(obtained, original)
     if denominator not in RSE_DENOMINATORS:
         raise ParameterError(f"unknown RSE denominator {denominator!r}")
-    den = fro_norm(obtained if denominator == "obtained" else original) ** 2
+    den = fro_norm(obtained if denominator == "obtained" else original)
     if den == 0.0:
         raise ParameterError("RSE undefined: zero denominator tensor")
-    return fro_norm(original - obtained) ** 2 / den
+    ratio = _error_norm(obtained, original) / den
+    return ratio * ratio
 
 
 def psnr(obtained, original) -> float:
     """10 log10(Max^2 / ||obtained - original||_F^2), Max over the obtained tensor.
 
-    Identical tensors give +inf; complex tensors raise ``ParameterError``.
+    Computed as 20 (log10 |Max| - log10 ||obtained - original||_F), so no
+    square overflows or underflows.  Identical tensors give +inf, a zero Max
+    gives -inf; complex tensors raise ``ParameterError``.
     """
     obtained, original = same_shape(obtained, original)
     if np.iscomplexobj(obtained) or np.iscomplexobj(original):
         raise ParameterError("PSNR needs real tensors, got complex")
-    err = fro_norm(obtained - original) ** 2
+    err = _error_norm(obtained, original)
     if err == 0.0:
         return math.inf
-    peak = float(np.max(obtained))
+    peak = abs(float(np.max(obtained)))
     if peak == 0.0:
         return -math.inf
-    return 10.0 * math.log10(peak**2 / err)
+    return 20.0 * (math.log10(peak) - math.log10(err))
 
 
 @dataclass

@@ -29,21 +29,29 @@ buffers of one thread hold at most ``WORKSPACE_CAP`` bytes, and a request past
 that cap, or for role None, is a fresh array.  No public function returns
 workspace memory or a view of it, and an inverse transform never overwrites
 it.
+
+Operands: :func:`_as_array` is the one reader of array operands, and every
+public function reads its arrays through it or through :func:`_as_tensor`,
+which adds the order >= 2 test.  A ragged sequence, or a dtype other than
+bool, integer, float or complex (strings, objects, None), raises
+``ParameterError``.  Every count a caller passes (a size, dim, rank or seed)
+must pass :func:`is_count`.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 
 import numpy as np
 
-from .errors import ModeError, ShapeError
+from .errors import ModeError, ParameterError, ShapeError
 
 
 WORKSPACE_CAP = 16 << 20  # bytes of workspace per thread
 _workspace = threading.local()
+# below this norm the squares of the largest entries lose accuracy to underflow
+_NORM_MIN = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 
 
 def _buffers() -> dict:
@@ -78,8 +86,19 @@ def in_workspace(a) -> bool:
     return any(np.may_share_memory(a, buf) for buf in _buffers().values())
 
 
+def _as_array(x) -> np.ndarray:
+    """x as an array; ParameterError unless it is rectangular and holds bools or numbers."""
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:  # numpy's refusal of a ragged nested sequence
+        raise ParameterError("operand is a ragged sequence, not an array") from exc
+    if x.dtype.kind not in "biufc":
+        raise ParameterError(f"operand must hold bools or numbers, got dtype {x.dtype}")
+    return x
+
+
 def _as_tensor(x) -> np.ndarray:
-    x = np.asarray(x)
+    x = _as_array(x)
     if x.ndim < 2:
         raise ShapeError(f"tensor order must be >= 2, got order {x.ndim}")
     return x
@@ -87,7 +106,7 @@ def _as_tensor(x) -> np.ndarray:
 
 def is_count(value, low=0) -> bool:
     """Whether value is an integer (Python or numpy) >= low; floats are not, even 2.0, nor are bools."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 def _check_index(value, high, what="mode") -> None:
@@ -98,7 +117,7 @@ def _check_index(value, high, what="mode") -> None:
 
 def same_shape(a, b):
     """a and b as arrays; ShapeError unless their dims agree."""
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = _as_array(a), _as_array(b)
     if a.shape != b.shape:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a, b
@@ -127,13 +146,14 @@ def fro_norm(a) -> float:
     """Frobenius norm: sqrt of the sum of squared entry moduli.
 
     The entries are summed in memory order, so no layout is copied.  When the
-    squares overflow but every entry is finite, the norm of a / max|a| is
-    scaled back; it is inf only when the norm itself exceeds the float range.
+    squares overflow or underflow but every entry is finite, the norm of
+    a / max|a| is scaled back; it is inf only when the norm itself exceeds the
+    float range, and 0.0 only for a zero tensor.
     """
-    flat = np.asarray(a).ravel("K")
+    flat = _as_array(a).ravel("K")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(flat))
-        if norm == math.inf and np.isfinite(flat).all():
+        if (norm == math.inf or norm < _NORM_MIN and flat.any()) and np.isfinite(flat).all():
             big = max(float(np.abs(flat.real).max()), float(np.abs(flat.imag).max()))
             norm = big * float(np.linalg.norm(flat / big))
     return norm
@@ -141,6 +161,8 @@ def fro_norm(a) -> float:
 
 def num_rep(dims) -> int:
     """Number P of representative matrices for the given dimension vector."""
+    if not all(map(is_count, dims[2:])):
+        raise ParameterError(f"trailing dims must be integers >= 0, got {tuple(dims[2:])}")
     return int(math.prod(dims[2:]))
 
 
@@ -149,12 +171,6 @@ def rep_index_to_multi(p: int, dims) -> tuple:
     _check_index(p, num_rep(dims), "representative index")
     multi = np.unravel_index(p - 1, dims[2:], order="F")
     return tuple(int(k) + 1 for k in multi)
-
-
-def multi_to_rep_index(multi, dims) -> int:
-    """Inverse of :func:`rep_index_to_multi`."""
-    zero_based = tuple(int(k) - 1 for k in multi)
-    return int(np.ravel_multi_index(zero_based, dims[2:], order="F")) + 1
 
 
 def rep_matrix(x, p: int) -> np.ndarray:
@@ -200,16 +216,19 @@ def mode_n_unfold(x, n: int) -> np.ndarray:
     """Mode-n matricization: mode-n fibers become columns (Kolda ordering)."""
     x = _as_tensor(x)
     _check_index(n, x.ndim)
-    return np.moveaxis(x, n - 1, 0).reshape(x.shape[n - 1], -1, order="F")
+    columns = math.prod(x.shape[: n - 1] + x.shape[n:])
+    return np.moveaxis(x, n - 1, 0).reshape(x.shape[n - 1], columns, order="F")
 
 
 def mode_n_fold(m, n: int, dims) -> np.ndarray:
     """Inverse of :func:`mode_n_unfold` for the given target dims."""
-    m = np.asarray(m)
-    dims = tuple(int(d) for d in dims)
+    m = _as_tensor(m)
+    dims = tuple(dims)
+    if not all(map(is_count, dims)):
+        raise ParameterError(f"dims must be integers >= 0, got {dims}")
     _check_index(n, len(dims))
     rest = dims[: n - 1] + dims[n:]
-    if m.shape != (dims[n - 1], int(np.prod(rest, dtype=np.int64))):
+    if m.shape != (dims[n - 1], math.prod(rest)):
         raise ShapeError(f"unfolded shape {m.shape} does not match dims {dims}")
     return np.moveaxis(m.reshape((dims[n - 1],) + rest, order="F"), 0, n - 1)
 
@@ -219,15 +238,15 @@ def mode_n_product(x, u, n: int, out=None) -> np.ndarray:
 
     One ``np.matmul`` of u with x viewed as (I_1*...*I_{n-1}, I_n, I_{n+1}*...*I_N);
     the view is free for a C-contiguous x.  ``out``, a C-contiguous array of
-    the result's shape and dtype, receives the result.
+    the result's shape and dtype, receives the result.  An overflow gives inf
+    entries without a warning: the transforms, which call this once per mode,
+    refuse a non-finite result once per crossing.
     """
     x = _as_tensor(x)
-    u = np.atleast_2d(np.asarray(u))
+    u = np.atleast_2d(_as_array(u))
     _check_index(n, x.ndim)
-    if u.shape[1] != x.shape[n - 1]:
-        raise ShapeError(
-            f"matrix with {u.shape[1]} columns cannot act on mode of size {x.shape[n - 1]}"
-        )
+    if u.ndim > 2 or u.shape[1] != x.shape[n - 1]:
+        raise ShapeError(f"matrix of shape {u.shape} cannot act on mode of size {x.shape[n - 1]}")
     lead, trail = x.shape[: n - 1], x.shape[n:]
     fibers = x.reshape(math.prod(lead), x.shape[n - 1], math.prod(trail))
     shape = lead + (u.shape[0],) + trail
@@ -235,12 +254,20 @@ def mode_n_product(x, u, n: int, out=None) -> np.ndarray:
         out = np.empty(shape, np.result_type(u, x))
     elif out.shape != shape or not out.flags.c_contiguous:
         raise ShapeError(f"out must be a C-contiguous array of shape {shape}, got {out.shape}")
-    np.matmul(u, fibers, out=out.reshape(fibers.shape[0], u.shape[0], fibers.shape[2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(u, fibers, out=out.reshape(fibers.shape[0], u.shape[0], fibers.shape[2]))
     return out
 
 
 def facewise_product(a, b) -> np.ndarray:
-    """Slice-wise matrix product over all P representative matrices."""
+    """Slice-wise matrix product over all P representative matrices.
+
+    Raises ``ParameterError`` for a result that holds NaN or inf (a non-finite
+    input or an overflow), as the *_L product does.
+    """
     a, b = product_operands(a, b)
-    prod = np.matmul(as_rep_stack(a), as_rep_stack(b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.matmul(as_rep_stack(a), as_rep_stack(b))
+    if not np.isfinite(prod).all():
+        raise ParameterError("facewise product holds NaN or inf (non-finite input or overflow)")
     return from_rep_stack(prod, a.shape[2:])

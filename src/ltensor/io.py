@@ -17,6 +17,7 @@ import re
 
 import numpy as np
 
+from .core import _as_array
 from .errors import FormatError, ParameterError
 
 MAGIC = b"TLT1"
@@ -46,10 +47,14 @@ def _dtype_code(x: np.ndarray) -> int:
 def write_container(path, x) -> None:
     """Write a tensor to the TLT1 container format.
 
-    Raises ``FormatError`` for an order outside 2..8 or a dtype that is not
-    bool, integer, float or complex, before the file is opened.
+    Raises ``FormatError`` for a ragged sequence, an order outside 2..8 or a
+    dtype that is not bool, integer, float or complex, before the file is
+    opened.
     """
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:  # numpy's refusal of a ragged nested sequence
+        raise FormatError("container holds rectangular arrays, got a ragged sequence") from exc
     if not 2 <= x.ndim <= 8:
         raise FormatError(f"container supports orders 2..8, got {x.ndim}")
     if x.dtype.kind not in "biufc":
@@ -141,7 +146,7 @@ def import_ppm_dir(path) -> np.ndarray:
 
 def export_ppm_dir(x, path) -> None:
     """H x W x 3 x T tensor in [0, 1] -> numbered P6 frames (round half up)."""
-    x = np.asarray(x)
+    x = _as_array(x)
     if x.ndim != 4 or x.shape[2] != 3:
         raise FormatError(f"expected an H x W x 3 x T tensor, got shape {x.shape}")
     if np.iscomplexobj(x):
@@ -150,7 +155,7 @@ def export_ppm_dir(x, path) -> None:
         raise ParameterError("frames hold NaN or inf entries")
     os.makedirs(path, exist_ok=True)
     height, width, _, count = x.shape
-    quant = np.clip(np.floor(x * 255.0 + 0.5), 0, 255).astype(np.uint8)
+    quant = np.floor(np.clip(x, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     digits = max(4, len(str(count)))
     for t in range(count):
         name = os.path.join(path, f"frame_{t:0{digits}d}.ppm")

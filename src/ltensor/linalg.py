@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import as_rep_stack, fro_norm, from_rep_stack, is_count, num_rep, product_operands, scratch
+from .core import _as_tensor, as_rep_stack, fro_norm, from_rep_stack, is_count, num_rep, product_operands, scratch
 from .errors import ParameterError, ShapeError
 from .transforms import TransformSpec, apply_l, apply_l_inv
 
@@ -101,14 +101,14 @@ def _conj_transpose(stack):
 
 def l_transpose(a, spec: TransformSpec) -> np.ndarray:
     """Transpose under *_L: conjugate-transpose of every L-domain slice."""
-    return _slicewise(_conj_transpose, spec, np.asarray(a))
+    return _slicewise(_conj_transpose, spec, _as_tensor(a))
 
 
 def is_orthogonal(q, spec: TransformSpec, tol: float = 1e-10) -> bool:
     """Whether q *_L q^T and q^T *_L q both equal the identity within tol >= 0."""
     if not 0.0 <= tol:
         raise ParameterError(f"tol must be >= 0, got {tol}")
-    q = np.asarray(q)
+    q = _as_tensor(q)
     if q.shape[0] != q.shape[1]:
         raise ShapeError(f"orthogonality needs square first two dims, got {q.shape[:2]}")
     n = q.shape[0]
@@ -177,7 +177,7 @@ def t_svd(a, spec: TransformSpec) -> LFactors:
     a = u *_L s *_L v^T with u, v orthogonal and s f-diagonal; tube norms are
     the Frobenius norms of the scalar-tensors s(i,i,:,...,:).
     """
-    u, s, v = _slicewise(_svd_factors, spec, np.asarray(a))
+    u, s, v = _slicewise(_svd_factors, spec, _as_tensor(a))
     tube_norms = np.array([fro_norm(s[(i, i)]) for i in range(min(s.shape[:2]))])
     return LFactors(u=u, s=s, v=v, tube_norms=tube_norms, spec=spec)
 
@@ -247,4 +247,4 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
         out = np.matmul(u * scale[:, None, :], np.matmul(_conj_transpose(u), h))
         return _conj_transpose(out) if tall else out
 
-    return _slicewise(shrink, spec, np.asarray(a))
+    return _slicewise(shrink, spec, _as_tensor(a))

@@ -53,8 +53,8 @@ _IMAG_TOL = 1e-9
 
 def build_dct_matrix(n: int) -> np.ndarray:
     """Orthogonal DCT-II matrix: C[i,j] = sqrt((2-d_{i1})/n) cos((i-1)(2j-1)pi/2n)."""
-    if n < 1:
-        raise ParameterError(f"matrix size must be >= 1, got {n}")
+    if not is_count(n, 1):
+        raise ParameterError(f"matrix size must be >= 1 and an integer, got {n!r}")
     i = np.arange(1, n + 1)[:, None]
     j = np.arange(1, n + 1)[None, :]
     scale = np.sqrt((2.0 - (i == 1)) / n)
@@ -63,8 +63,8 @@ def build_dct_matrix(n: int) -> np.ndarray:
 
 def build_fourier_matrix(n: int) -> np.ndarray:
     """Unnormalized DFT matrix with entries omega_n^{(i-1)(j-1)}."""
-    if n < 1:
-        raise ParameterError(f"matrix size must be >= 1, got {n}")
+    if not is_count(n, 1):
+        raise ParameterError(f"matrix size must be >= 1 and an integer, got {n!r}")
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n)
 
@@ -230,22 +230,23 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
         block = copy
     # the result may take the memory of an input handed over, never the workspace's
     owned = block if overwrite and block.flags.writeable and not in_workspace(block) else None
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, refused below
-        if spec.kind == "fft" and spec.modes:  # one multi-axis scipy.fft call
-            fft = scipy.fft.ifftn if inverse else scipy.fft.fftn
-            block = fft(block, axes=[x.ndim - m for m in spec.modes], overwrite_x=owned is not None)
-        else:
-            modes = tuple(reversed(spec.modes)) if inverse else spec.modes
-            for i, mode in enumerate(modes):
-                mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
-                dtype = np.result_type(block, mat)
-                if i < len(modes) - 1:
-                    out = scratch(_STEPS[i % 2], block.shape, dtype)
-                elif i > 0 and owned is not None and owned.dtype == dtype:
-                    out = owned  # only the first product read it
-                else:
-                    out = scratch(role, block.shape, dtype)
-                block = mode_n_product(block, mat, x.ndim - mode + 1, out=out)
+    # an overflow gives inf without a warning (scipy.fft warns about nothing, and
+    # mode_n_product silences its own), and the finiteness pass below refuses it
+    if spec.kind == "fft" and spec.modes:  # one multi-axis scipy.fft call
+        fft = scipy.fft.ifftn if inverse else scipy.fft.fftn
+        block = fft(block, axes=[x.ndim - m for m in spec.modes], overwrite_x=owned is not None)
+    else:
+        modes = tuple(reversed(spec.modes)) if inverse else spec.modes
+        for i, mode in enumerate(modes):
+            mat = spec.mode_inverse(mode) if inverse else spec.mode_matrix(mode)
+            dtype = np.result_type(block, mat)
+            if i < len(modes) - 1:
+                out = scratch(_STEPS[i % 2], block.shape, dtype)
+            elif i > 0 and owned is not None and owned.dtype == dtype:
+                out = owned  # only the first product read it
+            else:
+                out = scratch(role, block.shape, dtype)
+            block = mode_n_product(block, mat, x.ndim - mode + 1, out=out)
     # Every mode matrix is invertible, so a NaN or inf input leaves NaN or inf in the result.
     if not np.isfinite(block).all():
         what = "inverse-transformed results" if inverse else "transform-domain slices"

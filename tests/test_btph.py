@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltensor.btph import BtphMatrix, bdiag, btph, check_diagonalization, cproduct_via_btph, ten
+from ltensor.btph import bdiag, btph, check_diagonalization, cproduct_via_btph, ten
 from ltensor.core import as_rep_stack, fro_norm
 from ltensor.errors import OracleScaleError, ShapeError, StructureError
 from ltensor.linalg import identity_tensor, l_product
@@ -13,15 +13,15 @@ from conftest import random_shape
 class TestBtph:
     def test_tube_1_2(self):
         tube = np.array([1.0, 2.0]).reshape(1, 1, 2)
-        np.testing.assert_allclose(btph(tube).matrix, [[3, 2], [2, 3]])
+        np.testing.assert_allclose(btph(tube), [[3, 2], [2, 3]])
 
     def test_tube_3_4(self):
         tube = np.array([3.0, 4.0]).reshape(1, 1, 2)
-        np.testing.assert_allclose(btph(tube).matrix, [[7, 4], [4, 7]])
+        np.testing.assert_allclose(btph(tube), [[7, 4], [4, 7]])
 
     def test_third_order_structure(self, rng):
         x = rng.standard_normal((2, 3, 3))
-        m = btph(x).matrix
+        m = btph(x)
         assert m.shape == (6, 9)
         s = [x[:, :, k] for k in range(3)]
         # spot-check the worked Toeplitz + Hankel layout
@@ -33,13 +33,13 @@ class TestBtph:
 
     def test_roundtrip_fourth_order(self, rng):
         x = rng.standard_normal((2, 2, 2, 2))
-        np.testing.assert_allclose(ten(btph(x).matrix, x.shape), x, atol=1e-12)
+        np.testing.assert_allclose(ten(btph(x), x.shape), x, atol=1e-12)
 
     def test_roundtrip_orders_3_to_5(self, rng):
         for _ in range(10):
             shape = random_shape(rng, max_dim=3)
             x = rng.standard_normal(shape)
-            np.testing.assert_allclose(ten(btph(x).matrix, shape), x, atol=1e-12)
+            np.testing.assert_allclose(ten(btph(x), shape), x, atol=1e-12)
 
     def test_size_guard(self):
         with pytest.raises(OracleScaleError):
@@ -49,11 +49,10 @@ class TestBtph:
         with pytest.raises(ShapeError):
             btph(np.zeros((4, 4)))
 
-    def test_dims_recorded(self, rng):
+    def test_returns_the_matrix(self, rng):
         x = rng.standard_normal((2, 3, 2))
-        bt = btph(x)
-        assert isinstance(bt, BtphMatrix)
-        assert bt.dims == (2, 3, 2)
+        m = btph(x)
+        assert isinstance(m, np.ndarray) and m.shape == (2 * 2, 3 * 2)
 
 
 class TestTen:
@@ -143,10 +142,10 @@ class TestCproductViaBtph:
     def test_product_closure(self, rng):
         a = rng.standard_normal((2, 3, 2, 2))
         b = rng.standard_normal((3, 2, 2, 2))
-        prod = btph(a).matrix @ btph(b).matrix
+        prod = btph(a) @ btph(b)
         # closed: the product is itself a consistent btph matrix
         c = ten(prod, (2, 2, 2, 2))
-        np.testing.assert_allclose(btph(c).matrix, prod, atol=1e-10)
+        np.testing.assert_allclose(btph(c), prod, atol=1e-10)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -84,8 +84,9 @@ class TestSampleMask:
 
     @pytest.mark.parametrize(
         "dims, sr, seed",
-        [((2, 2, 2), math.nan, 0), ((2, 2, 2), 0.5, -1), ((2, -2, 2), 0.5, 0)],
-        ids=["nan-ratio", "negative-seed", "negative-dim"],
+        # dims that are not a sequence raised TypeError when unpacked
+        [((2, 2, 2), math.nan, 0), ((2, 2, 2), 0.5, -1), ((2, -2, 2), 0.5, 0), (3.0, 0.5, 0), (None, 0.5, 0)],
+        ids=["nan-ratio", "negative-seed", "negative-dim", "scalar-dims", "none-dims"],
     )
     def test_rejects_bad_arguments(self, dims, sr, seed):
         with pytest.raises(ParameterError):
@@ -148,6 +149,37 @@ class TestMetrics:
 
     def test_psnr_zero_peak(self):
         assert psnr(np.zeros((2, 2, 2)), np.ones((2, 2, 2))) == -math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_tensors(self):
+        # each norm was squared with **, which raised OverflowError
+        s = (2, 2, 2)
+        assert np.isclose(rse(np.full(s, 1e200), np.full(s, 2e200)), 1.0, rtol=1e-14)
+        assert np.isclose(psnr(np.full(s, 1e200), np.full(s, 2e200)), 10 * math.log10(1 / 8), rtol=1e-14)
+        # peak 1e308, error norm sqrt(8) * 0.5e308: 10 log10(1 / 2)
+        assert np.isclose(psnr(np.full(s, 1e308), np.full(s, 0.5e308)), 10 * math.log10(0.5), rtol=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_tensors(self):
+        # the squares underflowed: rse saw a zero denominator, psnr returned inf for
+        # tensors that differ, and a zero peak square gave "math domain error"
+        s = (2, 2, 2)
+        assert np.isclose(rse(np.full(s, 1e-200), np.full(s, 2e-200)), 1.0, rtol=1e-14)
+        assert np.isclose(psnr(np.full(s, 1e-200), np.full(s, 2e-200)), 10 * math.log10(1 / 8), rtol=1e-14)
+        expected = 20 * (-200 - math.log10(math.sqrt(8)))
+        assert np.isclose(psnr(np.full(s, 1e-200), np.ones(s)), expected, rtol=1e-14)
+
+    def test_psnr_of_a_negative_peak(self):
+        obtained = np.full((2, 2, 2), -2.0)
+        # |peak| 2, error norm sqrt(8) * 2: 10 log10(1 / 8)
+        assert np.isclose(psnr(obtained, np.zeros((2, 2, 2))), 10 * math.log10(1 / 8), rtol=1e-14)
+
+    def test_bool_tensors(self):
+        # numpy has no bool minus: its TypeError escaped
+        a = np.array([True, False, True, True]).reshape(2, 2, 1)
+        b = np.array([True, True, True, False]).reshape(2, 2, 1)
+        assert np.isclose(rse(a, b), 2 / 3, rtol=1e-14)
+        assert np.isclose(psnr(a, b), 10 * math.log10(1 / 2), rtol=1e-14)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -433,6 +465,18 @@ class TestPgaComplete:
         data, truth = (bad, m) if which == "data" else (m, bad)
         monkeypatch.setattr(ltensor.completion, "svt", _no_svt)
         with pytest.raises(ParameterError, match=f"completion needs real {which}, got {bad.dtype}"):
+            pga_complete(data, sample_mask(m.shape, 0.5, 1), CompletionConfig(spec=spec, max_iters=3),
+                         ground_truth=truth)
+
+
+    @pytest.mark.parametrize("which", ["data", "ground truth"])
+    def test_rejects_a_ragged_sequence(self, which, monkeypatch):
+        # numpy's ValueError escaped from np.asarray
+        m, spec = low_rank((4, 5, 3), 1, 3)
+        ragged = [[1.0, 2.0], [3.0]]
+        data, truth = (ragged, None) if which == "data" else (m, ragged)
+        monkeypatch.setattr(ltensor.completion, "svt", _no_svt)
+        with pytest.raises(ParameterError, match=f"completion needs real {which}, got a ragged sequence"):
             pga_complete(data, sample_mask(m.shape, 0.5, 1), CompletionConfig(spec=spec, max_iters=3),
                          ground_truth=truth)
 

@@ -14,13 +14,12 @@ from ltensor.core import (
     mode_n_fold,
     mode_n_product,
     mode_n_unfold,
-    multi_to_rep_index,
     num_rep,
     rep_block,
     rep_index_to_multi,
     rep_matrix,
 )
-from ltensor.errors import ModeError, ShapeError
+from ltensor.errors import ModeError, ParameterError, ShapeError
 
 from conftest import random_shape
 
@@ -81,6 +80,13 @@ class TestFroNorm:
             assert fro_norm(np.array([1e200, np.inf])) == np.inf
             assert np.isnan(fro_norm(np.array([1e200, np.nan])))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_squares_that_underflow(self, rng, dtype):
+        # np.linalg.norm of 1e-200 entries underflowed to 0.0, so rse saw a zero denominator
+        x = rng.standard_normal((3, 3, 2)).astype(dtype)
+        assert np.isclose(fro_norm(1e-200 * x), 1e-200 * fro_norm(x), rtol=1e-14, atol=0.0)
+        assert fro_norm(np.zeros(0)) == 0.0
+
     def test_any_memory_order(self, rng):
         x = rng.standard_normal((3, 4, 2, 2))
         for view in (np.asfortranarray(x), from_rep_stack(as_rep_stack(x), x.shape[2:]), x[:, ::2]):
@@ -107,6 +113,19 @@ class TestUnfold:
         with pytest.raises(ModeError, match=r"out of range \[1, 3\]"):
             mode_n_fold(np.ones((2, 4)), n, (2, 2, 2))
 
+    @pytest.mark.parametrize("dims", [(2, 2.7, 2), (2, True, 2), (2, -1, 2), (2, "2", 2)])
+    def test_fold_refuses_dims_that_are_not_counts(self, dims):
+        # int(d) folded (2, 2.7, 2) into a (2, 2, 2) tensor
+        with pytest.raises(ParameterError, match="dims must be integers >= 0"):
+            mode_n_fold(np.ones((2, 4)), 1, dims)
+
+    @pytest.mark.parametrize("n, shape", [(1, (0, 6)), (2, (3, 0)), (3, (2, 0))])
+    def test_unfold_of_a_zero_size_dim(self, n, shape):
+        # reshape(..., -1) raised numpy ValueError on the zero-size first dim
+        x = np.ones((0, 3, 2))
+        assert mode_n_unfold(x, n).shape == shape
+        assert mode_n_fold(mode_n_unfold(x, n), n, x.shape).shape == x.shape
+
     def test_fold_shape_mismatch(self):
         with pytest.raises(ShapeError, match=r"unfolded shape \(2, 3\) does not match"):
             mode_n_fold(np.ones((2, 3)), 1, (2, 2, 2))
@@ -122,6 +141,18 @@ class TestUnfold:
 
 
 class TestModeNProduct:
+    @pytest.mark.parametrize("u", [np.ones((2, 3, 1)), np.ones((1, 3, 2))])
+    def test_matrix_of_order_above_two(self, u):
+        # numpy's matmul ValueError escaped
+        with pytest.raises(ShapeError, match="cannot act on mode"):
+            mode_n_product(np.ones((3, 2, 2)), u, 1)
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mode_n_product(np.full((3, 2, 2), 1e308), np.ones((2, 3)), 1)
+        assert np.isposinf(out).all()
+
     def test_identity(self, rng):
         x = rng.standard_normal((3, 2, 4))
         np.testing.assert_allclose(mode_n_product(x, np.eye(4), 3), x, atol=1e-15)
@@ -211,13 +242,24 @@ class TestRepMatrix:
             out = num_rep(given_dims)
             assert out == expected and type(out) is int
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2.5), (2, 2, True), (2, 2, -1), (2, 2, "3"), (2, 2, None)])
+    def test_num_rep_refuses_trailing_dims_that_are_not_counts(self, dims):
+        # (2, 2, 2.5) gave 2, and (2, 2, "3") gave 3
+        with pytest.raises(ParameterError, match="trailing dims must be integers >= 0"):
+            num_rep(dims)
+
     def test_index_bijection_exhaustive(self):
         dims = (2, 2, 3, 2, 2)
         P = num_rep(dims)
         seen = set()
         for p in range(1, P + 1):
             multi = rep_index_to_multi(p, dims)
-            assert multi_to_rep_index(multi, dims) == p
+            # the module docstring's p = k_3 + sum_{i>=4} (k_i - 1) * I_3*...*I_{i-1}
+            stride, q = 1, 1
+            for k, d in zip(multi, dims[2:]):
+                q += (k - 1) * stride
+                stride *= d
+            assert q == p
             seen.add(multi)
         assert len(seen) == P
 
@@ -299,11 +341,38 @@ class TestFacewiseProduct:
         for p in range(1, num_rep(a.shape) + 1):
             np.testing.assert_allclose(rep_matrix(c, p), rep_matrix(a, p) @ rep_matrix(b, p), atol=1e-13)
 
+    @pytest.mark.parametrize("fill", [1e200, np.nan])
+    def test_non_finite_result_is_refused(self, fill):
+        # 1e200 slices warned "overflow encountered in matmul" and returned inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="facewise product holds NaN or inf"):
+                facewise_product(np.full((2, 2, 2), fill), np.full((2, 2, 2), fill))
+
     def test_mismatches(self):
         with pytest.raises(ShapeError):
             facewise_product(np.ones((2, 3, 2)), np.ones((2, 2, 2)))
         with pytest.raises(ShapeError):
             facewise_product(np.ones((2, 3, 2)), np.ones((3, 2, 3)))
+
+
+class TestReader:
+    @pytest.mark.parametrize(
+        "operand, message",
+        [
+            ([[1.0, 2.0], [3.0]], "ragged sequence"),
+            (np.full((2, 2, 2), "a"), "got dtype <U1"),
+            (np.ones((2, 2, 2), dtype=object), "got dtype object"),
+            (None, "got dtype object"),
+        ],
+        ids=["ragged", "str", "object", "None"],
+    )
+    @pytest.mark.parametrize("fn", [fro_norm, lambda x: inner_product(x, x), lambda x: mode_n_unfold(x, 1),
+                                    lambda x: mode_n_product(np.ones((2, 2, 2)), x, 1)],
+                             ids=["fro_norm", "inner_product", "mode_n_unfold", "mode_n_product-matrix"])
+    def test_ragged_or_non_numeric_operand(self, fn, operand, message):
+        with pytest.raises(ParameterError, match=message):
+            fn(operand)
 
 
 class TestPackage:

@@ -136,6 +136,13 @@ class TestContainer:
             write_container(path, x)
         assert not path.exists()
 
+    def test_write_refuses_a_ragged_sequence(self, tmp_path):
+        # numpy's ValueError escaped
+        path = tmp_path / "x.tlt"
+        with pytest.raises(FormatError, match="ragged sequence"):
+            write_container(path, [[1.0, 2.0], [3.0]])
+        assert not path.exists()
+
     def test_order_guard_on_write(self, tmp_path):
         with pytest.raises(FormatError):
             write_container(tmp_path / "x.tlt", np.ones(3))
@@ -235,6 +242,31 @@ class TestPpm:
         assert not (tmp_path / "v").exists()
 
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([[1.0, 2.0], [3.0]], "ragged sequence"),
+            (np.full((2, 2, 3, 1), "a"), "got dtype <U1"),
+            (np.full((2, 2, 3, 1), 0.5, dtype=object), "got dtype object"),
+        ],
+        ids=["ragged", "str", "object"],
+    )
+    def test_export_refuses_ragged_or_non_numeric_frames(self, tmp_path, x, message):
+        # numpy's ValueError or np.isfinite's TypeError escaped
+        with pytest.raises(ParameterError, match=message):
+            export_ppm_dir(x, tmp_path / "v")
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_export_clips_huge_entries_without_overflow(self, tmp_path):
+        # x * 255 warned "overflow encountered in multiply" at 1e308
+        x, expected = np.zeros((2, 2, 3, 2)), np.zeros((2, 2, 3, 2))
+        x[0, 0, 0], expected[0, 0, 0] = (1e308, -1e308), (1.0, 0.0)
+        x[1, 1, 2], expected[1, 1, 2] = (0.5, 1.0), (128 / 255, 1.0)
+        export_ppm_dir(x, tmp_path / "v")
+        np.testing.assert_array_equal(import_ppm_dir(tmp_path / "v"), expected)
+
+
 class TestCli:
     def test_metrics_identical_file(self, tmp_path, capsys, rng):
         x = rng.standard_normal((3, 3, 2))
@@ -245,6 +277,16 @@ class TestCli:
         assert code == 0
         assert "RSE 0" in out
         assert "PSNR inf" in out
+
+    def test_metrics_print_a_negative_infinite_psnr(self, tmp_path, capsys):
+        # a zero peak gives -inf, which printed as "PSNR inf"
+        obtained = -np.ones((2, 2, 2))
+        obtained[0, 0, 0] = 0.0
+        write_container(tmp_path / "a.tlt", obtained)
+        write_container(tmp_path / "b.tlt", np.ones((2, 2, 2)))
+        code = main(["metrics", "--a", str(tmp_path / "a.tlt"), "--b", str(tmp_path / "b.tlt")])
+        out = capsys.readouterr().out
+        assert code == 0 and "PSNR -inf" in out
 
     def test_mask_gen_deterministic(self, tmp_path):
         a, b = tmp_path / "a.tlt", tmp_path / "b.tlt"

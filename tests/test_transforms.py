@@ -36,6 +36,15 @@ class TestDctMatrix:
             build_dct_matrix(0)
 
 
+    @pytest.mark.parametrize("builder", [build_dct_matrix, build_fourier_matrix, build_cproduct_matrix])
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, None, "3"])
+    def test_size_must_be_an_integer(self, builder, n):
+        # build_dct_matrix(2.5) returned a 3x3 matrix built with n = 2.5, (True) a 1x1 one,
+        # and build_cproduct_matrix(2.5) leaked TypeError
+        with pytest.raises(ParameterError, match="matrix size must be >= 1"):
+            builder(n)
+
+
 class TestFourierMatrix:
     def test_n1(self):
         np.testing.assert_allclose(build_fourier_matrix(1), [[1.0]])
