@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import _as_array, as_rep_stack, fro_norm, from_rep_stack, is_count, same_shape
+from .core import _as_array, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, same_shape
 from .errors import ParameterError, ShapeError
 from .linalg import svt
 from .transforms import TransformSpec
@@ -75,9 +75,10 @@ def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
     """Uniform observation mask with exactly round(sr * prod(dims)) entries."""
     if not 0.0 <= sr <= 1.0:
         raise ParameterError(f"sampling ratio must be in [0, 1], got {sr}")
-    if not np.iterable(dims) or not all(is_count(v) for v in (seed, *dims)):
+    checked = count_tuple(dims)
+    if checked is None or not is_count(seed):
         raise ParameterError(f"seed and dims must be integers >= 0, got seed {seed} and dims {dims}")
-    dims = tuple(int(d) for d in dims)
+    dims = checked
     total = int(np.prod(dims, dtype=np.int64))
     count = int(round(sr * total))
     rng = np.random.default_rng(seed)
@@ -113,18 +114,25 @@ def psnr(obtained, original) -> float:
     """10 log10(Max^2 / ||obtained - original||_F^2), Max over the obtained tensor.
 
     Computed as 20 (log10 |Max| - log10 ||obtained - original||_F), so no
-    square overflows or underflows.  Identical tensors give +inf, a zero Max
-    gives -inf; complex tensors raise ``ParameterError``.
+    square overflows or underflows; when the error norm itself exceeds the
+    float range, its log is log10 s + log10 ||obtained / s - original / s||_F
+    with s the largest |entry| of either tensor.  Identical tensors give +inf,
+    a zero Max gives -inf; complex tensors raise ``ParameterError``.
     """
     obtained, original = same_shape(obtained, original)
     if np.iscomplexobj(obtained) or np.iscomplexobj(original):
         raise ParameterError("PSNR needs real tensors, got complex")
-    err = _error_norm(obtained, original)
+    with np.errstate(over="ignore"):  # an overflowing difference is rescaled below
+        err = _error_norm(obtained, original)
     if err == 0.0:
         return math.inf
     peak = abs(float(np.max(obtained)))
     if peak == 0.0:
         return -math.inf
+    if err == math.inf:
+        s = max(float(np.max(np.abs(obtained))), float(np.max(np.abs(original))))
+        if s < math.inf:
+            return 20.0 * (math.log10(peak) - math.log10(s) - math.log10(fro_norm(obtained / s - original / s)))
     return 20.0 * (math.log10(peak) - math.log10(err))
 
 

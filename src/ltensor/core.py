@@ -109,6 +109,14 @@ def is_count(value, low=0) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
+def count_tuple(dims):
+    """dims as a tuple of Python ints if it is a sequence of counts (see is_count), else None."""
+    if not np.iterable(dims):
+        return None
+    dims = tuple(dims)
+    return tuple(map(int, dims)) if all(map(is_count, dims)) else None
+
+
 def _check_index(value, high, what="mode") -> None:
     """ModeError unless value is an integer in [1, high]: the one rule for 1-based modes and indices."""
     if not (is_count(value, 1) and value <= high):
@@ -136,6 +144,8 @@ def product_operands(a, b):
 def inner_product(a, b):
     """<a, b>, conjugate-linear in the first argument for complex tensors."""
     a, b = same_shape(_as_tensor(a), _as_tensor(b))
+    # bools and integers are summed as floats: np.vdot ORs bools and wraps small integers
+    a, b = (x if x.dtype.kind in "fc" else x.astype(float) for x in (a, b))
     out = np.vdot(a, b)
     if np.isrealobj(a) and np.isrealobj(b):
         return float(out.real)
@@ -161,9 +171,10 @@ def fro_norm(a) -> float:
 
 def num_rep(dims) -> int:
     """Number P of representative matrices for the given dimension vector."""
-    if not all(map(is_count, dims[2:])):
-        raise ParameterError(f"trailing dims must be integers >= 0, got {tuple(dims[2:])}")
-    return int(math.prod(dims[2:]))
+    checked = count_tuple(dims)
+    if checked is None:
+        raise ParameterError(f"trailing dims must be integers >= 0 and dims a sequence of them, got {dims}")
+    return math.prod(checked[2:])
 
 
 def rep_index_to_multi(p: int, dims) -> tuple:
@@ -223,9 +234,10 @@ def mode_n_unfold(x, n: int) -> np.ndarray:
 def mode_n_fold(m, n: int, dims) -> np.ndarray:
     """Inverse of :func:`mode_n_unfold` for the given target dims."""
     m = _as_tensor(m)
-    dims = tuple(dims)
-    if not all(map(is_count, dims)):
+    checked = count_tuple(dims)
+    if checked is None:
         raise ParameterError(f"dims must be integers >= 0, got {dims}")
+    dims = checked
     _check_index(n, len(dims))
     rest = dims[: n - 1] + dims[n:]
     if m.shape != (dims[n - 1], math.prod(rest)):

@@ -14,9 +14,12 @@ contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
 complex and so may its outputs.  A zero-size first or second dim gives the
 empty result.
 
-:func:`svt` factors each slice's small Hermitian Gram matrix instead of the
-slice, and takes the slice's SVD when ``tau < 1e-6 * max_p ||H_p||_F``; both
-give the (U, sigma) of one shrink.
+:func:`svt` works on each slice's small Hermitian Gram matrix instead of the
+slice.  When the Gram has order >= 4 * ``_BLOCK`` it first tries a certified
+block of ``_BLOCK`` Ritz pairs per slice, which may also prove the result
+zero; otherwise, or when the block cannot be certified, it factors the whole
+Gram.  It takes the slice's SVD when ``tau < 1e-6 * max_p ||H_p||_F``.  Each
+way gives the (U, sigma) of one shrink.
 :func:`t_svd`, :func:`ranks`, :func:`spectral_norm` and :func:`nuclear_norm`
 need the small singular values, which squaring would lose, and stay on the
 direct SVD.
@@ -24,11 +27,12 @@ direct SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _as_tensor, as_rep_stack, fro_norm, from_rep_stack, is_count, num_rep, product_operands, scratch
+from .core import _as_tensor, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, num_rep, product_operands, scratch
 from .errors import ParameterError, ShapeError
 from .transforms import TransformSpec, apply_l, apply_l_inv
 
@@ -38,6 +42,12 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 # below which the Gram's entries lose accuracy to underflow.
 _GRAM_MIN_TAU = 1e-6
 _GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
+
+# svt's block prox (see _block_pairs): the block width r, used on Grams of
+# order >= 4 r; its most block steps; and c in the residual bound c n eps theta_1.
+_BLOCK = 6
+_BLOCK_MAX_STEPS = 30
+_BLOCK_RESIDUAL = 4.0
 
 
 def _forward(a, spec, slot=0):
@@ -86,9 +96,9 @@ def l_product(a, b, spec: TransformSpec) -> np.ndarray:
 
 def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
     """The tensor with every L-domain representative matrix equal to I_n."""
-    trailing = tuple(trailing_dims)
-    if not all(is_count(v) for v in (n, *trailing)):
-        raise ParameterError(f"identity size must be an integer >= 0, so must trailing dims: {n}, {trailing}")
+    trailing = count_tuple(trailing_dims)
+    if trailing is None or not is_count(n):
+        raise ParameterError(f"identity size must be an integer >= 0, so must trailing dims: {n}, {trailing_dims}")
     P = num_rep((n, n) + trailing)
     stack = np.broadcast_to(np.eye(n), (P, n, n)).copy()
     return apply_l_inv(from_rep_stack(stack, trailing), spec, assume_real=_real(spec))
@@ -212,19 +222,100 @@ def nuclear_norm(a, spec: TransformSpec) -> float:
     return float(_spectrum(a, spec).sum() / spec.alpha)
 
 
+def _certified(gram, v, theta, tau):
+    """Whether the Cholesky of tau^2 I - G + V diag(theta) V^H succeeds on every slice."""
+    cert = np.matmul(v * theta[:, None, :], _conj_transpose(v))
+    cert -= gram
+    idx = np.arange(gram.shape[1])
+    cert[:, idx, idx] += tau * tau
+    try:
+        np.linalg.cholesky(cert)
+    except np.linalg.LinAlgError:  # not positive definite: the certificate's "no"
+        return False
+    return True
+
+
+def _block_pairs(h, gram, tau):
+    """Every Gram slice's eigenpairs above tau^2 as (U, sigma), certified; None to decline.
+
+    Block subspace iteration (Halko, Martinsson & Tropp, SIAM Rev. 2011) on
+    G = H H^H: Q = orth(H Omega) for a fixed Omega of r = _BLOCK columns,
+    then Q <- orth(G Q).  A Rayleigh-Ritz step factors the (P, r, r) stack
+    Q^H G Q at step 1, and then at the step where the decay of the residuals
+    since the last one predicts that they pass.  It keeps the Ritz pairs
+    (v, theta) with sigma = sqrt(theta) > tau, and the block is accepted when
+    on every slice
+    - each kept pair has ||G v - theta v|| <= c n eps theta_1, so G is within
+      rounding of a G~ with these exact eigenpairs, and
+    - the Cholesky of tau^2 I - G + V_k Theta_k V_k^H succeeds, so by
+      Sylvester's law of inertia G~ has no other eigenvalue above tau^2.
+    With nothing kept the second is the zero prox's certificate; if it fails,
+    the steps go on.  The block declines, and the caller factors the whole
+    Gram, when its r-th Ritz value exceeds tau^2 (Ritz values are lower
+    bounds, so more than r eigenvalues do), when the residuals will not pass
+    within _BLOCK_MAX_STEPS steps, or when a certificate with pairs kept fails.
+    """
+    bound = _BLOCK_RESIDUAL * gram.shape[1] * np.finfo(float).eps
+    omega = np.random.default_rng(0).standard_normal((h.shape[2], _BLOCK))
+    q = np.linalg.qr(np.matmul(h, omega))[0]
+    check, last, zero_tried = 1, None, False  # last: (step, worst) of the last check that failed
+    for step in range(1, _BLOCK_MAX_STEPS + 1):
+        y = np.matmul(gram, q)
+        if step == check:
+            w, theta, _ = np.linalg.svd(np.matmul(_conj_transpose(q), y), hermitian=True)
+            sv = np.sqrt(theta)
+            if (sv[:, -1] > tau).any():  # a lower bound: more than r eigenvalues exceed tau^2
+                return None
+            kept = sv > tau
+            v = np.matmul(q, w)
+            res = np.linalg.norm(np.matmul(y, w) - v * theta[:, None, :], axis=1)
+            # the largest kept residual over its bound
+            worst = float(np.divide(res, bound * theta[:, :1], out=np.zeros_like(res), where=kept).max())
+            if worst <= 1.0 and (kept.any() or not zero_tried):
+                k = int(kept.sum(axis=1).max())
+                if _certified(gram, v[:, :, :k], np.where(kept, theta, 0.0)[:, :k], tau):
+                    return v[:, :, :k], sv[:, :k]
+                if k:
+                    return None
+                zero_tried = True
+            gap = 1
+            if worst > 1.0:
+                if last is not None and worst < last[1] < math.inf:
+                    decay = math.log(last[1] / worst) / (step - last[0])  # per step; 0 if lost to rounding
+                    gap = math.ceil(math.log(worst) / decay) if decay else _BLOCK_MAX_STEPS
+                last = step, worst
+            check = step + gap
+            if check > _BLOCK_MAX_STEPS:
+                break
+        q = np.linalg.qr(y)[0]
+    return None
+
+
 def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     """Singular value thresholding: shrink each slice's spectrum by tau.
 
     Proximal operator of tau * nuclear_norm for unitary-scaled specs.
 
     Each transform-domain slice H (H^H when tall) gives U and sigma with
-    H H^H = U diag(sigma^2) U^H, for all slices from one ``np.linalg.svd``
-    call.  The result is U_k diag(max(sigma - tau, 0) / sigma) U_k^H H over the
-    k leading columns that hold some sigma_p > tau.  The call factors the
-    Hermitian Gram matrix G = H H^H, which agrees with the SVD prox to about
-    eps * fmax^2 / tau (Golub & Van Loan §8.6), where fmax = max_p ||H_p||_F;
-    so when tau < 1e-6 * fmax, or the Gram overflows or underflows, it takes
-    the thin SVD of H instead.
+    H H^H = U diag(sigma^2) U^H, and the result is
+    U_k diag(max(sigma - tau, 0) / sigma) U_k^H H over the k leading columns
+    that hold some sigma_p > tau.  U and sigma come from the Hermitian Gram
+    G = H H^H of every slice, with one of three outcomes for the whole stack:
+
+    - zero: the Cholesky of tau^2 I - G succeeds on every slice, so no sigma
+      exceeds tau and the result is exactly zero;
+    - certified block: a block of ``_BLOCK`` Ritz pairs per slice passes a
+      residual bound of c n eps ||G|| and an inertia certificate (see
+      :func:`_block_pairs`).  The result is then the exact Gram prox of a
+      matrix within that bound of G, as the factorization's own result is
+      for a matrix within its backward error;
+    - exact: one ``np.linalg.svd(G, hermitian=True)`` factors every slice.
+
+    The first two need a Gram of order >= 4 * ``_BLOCK``; below that, and
+    whenever the block declines, the exact outcome runs.  The Gram prox
+    agrees with the SVD prox to about eps * fmax^2 / tau (Golub & Van Loan
+    §8.6), where fmax = max_p ||H_p||_F; so when tau < 1e-6 * fmax, or the
+    Gram overflows or underflows, svt takes the thin SVD of H instead.
     """
     if not 0.0 <= tau:
         raise ParameterError(f"tau must be >= 0, got {tau}")
@@ -237,8 +328,11 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
         # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
         fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max(initial=0.0))
         if _GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau:
-            u, lam, _ = np.linalg.svd(gram, hermitian=True)
-            sv = np.sqrt(lam)
+            pairs = _block_pairs(h, gram, tau) if gram.shape[1] >= 4 * _BLOCK else None
+            if pairs is None:
+                u, lam, _ = np.linalg.svd(gram, hermitian=True)
+                pairs = u, np.sqrt(lam)
+            u, sv = pairs
         else:
             u, sv, _ = np.linalg.svd(h, full_matrices=False)
         k = int((sv > tau).sum(axis=1).max(initial=0))

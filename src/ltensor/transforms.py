@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .core import _as_tensor, fro_norm, from_rep_stack, in_workspace, is_count, mode_n_product, num_rep, rep_block, scratch
+from .core import _NORM_MIN, _as_tensor, count_tuple, fro_norm, from_rep_stack, in_workspace, is_count, mode_n_product, num_rep, rep_block, scratch
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
@@ -152,10 +152,10 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     the Gram scales is a finite float > 0 (1.0 with no transformed modes), so
     a matrix too large or small to square in double precision gives None.
     """
-    shape = tuple(shape)
-    if len(shape) < 3 or not all(is_count(d) for d in shape):
+    checked = count_tuple(shape)
+    if checked is None or len(checked) < 3:
         raise TransformError(f"transforms need order >= 3 and integer dims >= 0, got shape {shape}")
-    shape = tuple(map(int, shape))
+    shape = checked
     modes = tuple(range(3, len(shape) + 1) if modes is None else modes)
     for m in modes:
         if not (is_count(m, 3) and m <= len(shape)):
@@ -280,7 +280,16 @@ def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite:
     """
     out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite)
     if assume_real and np.iscomplexobj(out):
-        norm, imag = fro_norm(out), fro_norm(out.imag)
+        # ||out||^2 and ||Im out||^2 as two BLAS dots over the (re, im) float
+        # view, which copies nothing; fro_norm rescales when the squares
+        # overflow or underflow
+        flat = out.ravel("K").view(out.real.dtype)
+        with np.errstate(over="ignore"):
+            norm2, imag2 = float(flat @ flat), float(flat[1::2] @ flat[1::2])
+        if _NORM_MIN**2 <= norm2 < math.inf:
+            norm, imag = math.sqrt(norm2), math.sqrt(imag2)
+        else:
+            norm, imag = fro_norm(out), fro_norm(out.imag)
         if norm > 0 and not imag / norm <= _IMAG_TOL:  # inf / inf is NaN: refused too
             raise NumericConsistencyError(
                 f"imaginary residual {imag / norm:.3e} exceeds {_IMAG_TOL:.0e}; "

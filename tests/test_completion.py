@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ltensor.completion
+import ltensor.linalg
 from ltensor.completion import (
     CompletionConfig,
     CompletionTrace,
@@ -158,6 +159,10 @@ class TestMetrics:
         assert np.isclose(psnr(np.full(s, 1e200), np.full(s, 2e200)), 10 * math.log10(1 / 8), rtol=1e-14)
         # peak 1e308, error norm sqrt(8) * 0.5e308: 10 log10(1 / 2)
         assert np.isclose(psnr(np.full(s, 1e308), np.full(s, 0.5e308)), 10 * math.log10(0.5), rtol=1e-14)
+        # the error norm sqrt(8) * 1e308 itself overflowed and psnr read -inf: 10 log10(1 / 8)
+        assert np.isclose(psnr(np.full(s, 1e308), np.zeros(s)), -9.030899869919435, rtol=1e-14)
+        # so did the difference 1e308 - (-1e308): 10 log10(1 / 32)
+        assert np.isclose(psnr(np.full(s, 1e308), np.full(s, -1e308)), 10 * math.log10(1 / 32), rtol=1e-14)
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_tensors(self):
@@ -322,6 +327,27 @@ class TestPgaComplete:
         a, _ = pga_complete(m, mask, cfg)
         b, _ = pga_complete(m, mask, cfg)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_block_prox_solves_as_the_gram_factorization_does(self, kind, monkeypatch):
+        # 40 x 44 slices: svt's Gram has order 40, large enough for the block prox
+        m, spec = low_rank((40, 44, 3, 4), 2, 5, kind)
+        mask = sample_mask(m.shape, 0.5, 5)
+        cfg = CompletionConfig(spec=spec, max_iters=100)
+        block_pairs, accepted = ltensor.linalg._block_pairs, []
+
+        def recording(h, gram, tau):
+            pairs = block_pairs(h, gram, tau)
+            accepted.append(pairs is not None)
+            return pairs
+
+        monkeypatch.setattr(ltensor.linalg, "_block_pairs", recording)
+        x, trace = pga_complete(m, mask, cfg)
+        monkeypatch.setattr(ltensor.linalg, "_block_pairs", lambda h, gram, tau: None)
+        x_exact, trace_exact = pga_complete(m, mask, cfg)
+        assert trace.status == "converged" and all(accepted) and len(accepted) == trace.iterations
+        assert trace.iterations == trace_exact.iterations
+        assert np.abs(x - x_exact).max() <= 1e-12 * np.abs(x_exact).max()
 
     def test_stopping_rule(self):
         m, spec = low_rank((10, 10, 3), 2, 9)

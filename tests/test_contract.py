@@ -5,6 +5,8 @@ hostile operand below, and every name that takes a count on each hostile
 count. A call must return a result or raise an ``LTensorError``, with
 warnings treated as errors; a hostile count must be refused. The table has
 to cover ``ltensor.__all__`` exactly, so a new public name cannot skip it.
+A function that takes dims gets each hostile count both inside a dims tuple
+and as the whole dims argument.
 """
 
 import warnings
@@ -123,16 +125,21 @@ COUNT_ROWS = [
     ("build_fourier_matrix", build_fourier_matrix),
     ("identity_tensor", lambda c: identity_tensor(c, SHAPE[2:], SPEC)),
     ("identity_tensor", lambda c: identity_tensor(3, (3, c), SPEC)),
+    ("identity_tensor", lambda c: identity_tensor(3, c, SPEC)),
     ("make_spec", lambda c: make_spec("fft", (3, 3, c))),
+    ("make_spec", lambda c: make_spec("fft", c)),
     ("make_spec", lambda c: make_spec("fft", SHAPE, modes=(c,))),
     ("mode_n_fold", lambda c: mode_n_fold(np.ones((3, 6)), 1, (3, 3, c))),
     ("mode_n_fold", lambda c: mode_n_fold(np.ones((3, 6)), c, (3, 3, 2))),
+    ("mode_n_fold", lambda c: mode_n_fold(np.ones((3, 6)), 1, c)),
     ("mode_n_product", lambda c: mode_n_product(Y, np.ones((2, 3)), c)),
     ("mode_n_unfold", lambda c: mode_n_unfold(Y, c)),
     ("num_rep", lambda c: num_rep((3, 3, c))),
+    ("num_rep", num_rep),
     ("rep_matrix", lambda c: rep_matrix(Y, c)),
     ("sample_mask", lambda c: sample_mask((3, 3, c), 0.5, 1)),
     ("sample_mask", lambda c: sample_mask(SHAPE, 0.5, c)),
+    ("sample_mask", lambda c: sample_mask(c, 0.5, 1)),
     ("truncate", lambda c: truncate(t_svd(Y, SPEC), c)),
 ]
 

@@ -40,6 +40,14 @@ class TestInnerProduct:
         # independent oracle: direct summation of k^2
         assert inner_product(x, x) == sum(k**2 for k in range(1, 9)) == 204
 
+    def test_bool_and_small_integer_entries_are_counted(self):
+        # np.vdot ORs the ANDs of bools (1.0) and sums int8 products in int8 (-56)
+        ones = np.ones((2, 2, 2), bool)
+        assert inner_product(ones, ones) == 8.0
+        assert inner_product(ones, np.full((2, 2, 2), 2)) == 16.0
+        big = np.ones((5, 5, 8), np.int8)
+        assert inner_product(big, big) == 200.0
+
     def test_zero_annihilator(self, rng):
         b = rng.standard_normal((3, 2, 4))
         assert inner_product(np.zeros((3, 2, 4)), b) == 0.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltensor.linalg
 from ltensor.btph import cproduct_via_btph
 from ltensor.core import as_rep_stack, fro_norm, from_rep_stack, rep_matrix
 from ltensor.errors import LTensorError, ParameterError, ShapeError, UnsupportedSpecError
@@ -561,6 +562,103 @@ class TestSvtGram:
         for tau in (0.0, 1e-8 * fmax, 0.1 * fmax, 2 * fmax):
             svt(a, tau, spec)
         assert [c.get("hermitian", False) for c in svd_calls] == [False, False, True, True]
+
+
+def _with_l_spectrum(rng, kind, shape, svals, complex_input):
+    """A tensor and its spec whose transform-domain slices each have the singular values svals.
+
+    Under fft the trailing dims are 2s, so the real slices of a real tensor are
+    any real matrices.
+    """
+    spec = make_spec(kind, shape)
+
+    def orthonormal(rows):
+        z = rng.standard_normal((rows, len(svals)))
+        return np.linalg.qr(z + 1j * rng.standard_normal(z.shape) if complex_input else z)[0]
+
+    stack = np.stack([(orthonormal(shape[0]) * svals) @ orthonormal(shape[1]).conj().T
+                      for _ in range(int(np.prod(shape[2:])))])
+    return apply_l_inv(from_rep_stack(stack, shape[2:]), spec, assume_real=not complex_input), spec
+
+
+@pytest.fixture
+def hermitian_shapes(monkeypatch):
+    """The shape of every stack that np.linalg.svd factors with hermitian=True."""
+    shapes, svd = [], np.linalg.svd
+
+    def recording(x, **kwargs):
+        if kwargs.get("hermitian"):
+            shapes.append(x.shape)
+        return svd(x, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+class TestSvtBlock:
+    """svt's certified block prox, on Grams of order >= 4 * _BLOCK; tau is 1."""
+
+    R = ltensor.linalg._BLOCK
+    SHAPES = {"tall": (30, 26, 2, 2), "wide": (26, 30, 2, 2)}
+    SPECTRA = {
+        "rank2": [5.0, 2.0],
+        "clustered": [3.0, 1.0 + 1e-9, 1.0 - 1e-9, 0.5],
+        "graded": np.logspace(1, -8, 26),  # 10, 4.4, 1.9, 0.83, ...
+        "all_below": np.linspace(0.99, 0.01, 26),
+        "full_rank": np.linspace(3.0, 0.5, 26),  # 20 values above tau: more than the block holds
+    }
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("spectrum", SPECTRA, ids=str)
+    def test_matches_the_svd_prox(self, rng, kind, shape, complex_input, spectrum, hermitian_shapes):
+        a, spec = _with_l_spectrum(rng, kind, shape, np.asarray(self.SPECTRA[spectrum]), complex_input)
+        out = svt(a, 1.0, spec)
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+        # one Rayleigh-Ritz per check, then the Gram's factorization on a fallback
+        blocks, last = hermitian_shapes[:-1], hermitian_shapes[-1]
+        assert set(blocks) <= {(4, self.R, self.R)}
+        assert last == ((4, 26, 26) if spectrum == "full_rank" else (4, self.R, self.R))
+        if spectrum in ("rank2", "all_below"):  # certified, or proved zero, at the first check
+            assert not blocks
+        if spectrum == "all_below":
+            assert not out.any()
+
+    def test_a_value_the_block_cannot_see_fails_the_certificate(self, rng, hermitian_shapes):
+        # svt's block starts from orth(H Omega).  A right singular vector orthogonal
+        # to Omega hides sigma = 1.2 > tau from it: over a floor of 0.5 it takes ~20
+        # steps to surface, while the pair at 5 passes its residual test in ~6, so
+        # only the inertia certificate tells that the block is incomplete
+        omega = np.random.default_rng(0).standard_normal((30, self.R))
+        hidden = np.linalg.qr(np.hstack([omega, rng.standard_normal((30, 1))]))[0][:, -1]
+        svals = np.r_[5.0, 1.2, np.full(20, 0.5)]
+        stack = []
+        for _ in range(4):
+            u = np.linalg.qr(rng.standard_normal((26, 22)))[0]
+            v = np.linalg.qr(np.hstack([hidden[:, None], rng.standard_normal((30, 21))]))[0][:, [1, 0, *range(2, 22)]]
+            stack.append((u * svals) @ v.T)
+        spec = make_spec("dct", (26, 30, 2, 2))
+        a = apply_l_inv(from_rep_stack(np.array(stack), (2, 2)), spec, assume_real=True)
+        out = svt(a, 1.0, spec)
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+        assert hermitian_shapes[-1] == (4, 26, 26)
+
+    def test_a_failed_certificate_takes_the_gram_factorization(self, rng, hermitian_shapes, monkeypatch):
+        def refuse(x):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        a, spec = _with_l_spectrum(rng, "fft", (26, 30, 2, 2), np.array([5.0, 2.0]), True)
+        out = svt(a, 1.0, spec)
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+        assert hermitian_shapes[-1] == (4, 26, 26)
+
+    def test_same_input_same_output_whatever_ran_before(self, rng):
+        a, spec = _with_l_spectrum(rng, "dct", (30, 26, 2, 2), np.array([3.0, 1.5, 0.2]), False)
+        first = svt(a, 1.0, spec)
+        svt(rng.standard_normal(a.shape), 1.0, spec)
+        assert np.array_equal(svt(a, 1.0, spec), first)
 
 
 def _l_square(a, spec):

@@ -147,6 +147,13 @@ class TestApplyL:
                 apply_l_inv(bad, make_spec("fft", bad.shape), assume_real=True)
             assert apply_l_inv(bad.real + 0j, make_spec("fft", bad.shape), assume_real=True).dtype == float
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_imaginary_residual_error_when_the_squares_underflow_or_not(self, scale):
+        spec = make_spec("fft", (2, 2, 3))
+        with pytest.raises(NumericConsistencyError, match="imaginary residual 1.000e-07"):
+            apply_l_inv(np.full((2, 2, 3), scale * (1 + 1e-7j)), spec, assume_real=True)
+        assert apply_l_inv(np.full((2, 2, 3), scale * (1 + 1e-11j)), spec, assume_real=True).dtype == float
+
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_fast_matches_explicit(self, kind, rng):
         # dct runs on its own matrices, so an explicit spec built from them would check nothing
