@@ -11,8 +11,8 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from .core import _as_array, as_rep_stack, num_rep, product_operands
-from .errors import OracleScaleError, ShapeError, StructureError
+from .core import _as_array, as_rep_stack, count_tuple, num_rep, product_operands
+from .errors import OracleScaleError, ParameterError, ShapeError, StructureError
 from .transforms import TransformSpec, apply_l, build_dct_matrix
 
 _MAX_SIDE = 4096
@@ -74,7 +74,10 @@ def ten(m, dims) -> np.ndarray:
     result is re-unrolled and must reproduce ``m``, else StructureError.
     """
     m = _as_array(m)
-    dims = tuple(int(d) for d in dims)
+    checked = count_tuple(dims)
+    if checked is None:
+        raise ParameterError(f"dims must be a sequence of integers >= 0, got {dims}")
+    dims = checked
     _guard(dims)
     P = num_rep(dims)
     if m.shape != (dims[0] * P, dims[1] * P):

@@ -87,9 +87,27 @@ def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
     return flat.reshape(dims, order="F")
 
 
-def _error_norm(obtained, original) -> float:
-    """||obtained - original||_F; bools count as 0 and 1 (numpy has no bool minus)."""
-    return fro_norm(np.subtract(obtained, original, dtype=np.result_type(obtained, original, np.int8)))
+def _error_norm(obtained, original, ref=None):
+    """s, ||obtained - original||_F / s and ||ref||_F / s (0.0 without ref): the one overflow rule of rse and psnr.
+
+    s is 1 unless one of the norms exceeds the float range; then it is the
+    largest |entry| of either tensor, which brings both below it.  NaN or inf
+    in either tensor raises ``ParameterError``; bools count as 0 and 1
+    (numpy has no bool minus).
+    """
+    if not (np.isfinite(obtained).all() and np.isfinite(original).all()):
+        raise ParameterError("error metrics need finite tensors, got NaN or inf")
+
+    def norms(x, y, r):
+        with np.errstate(over="ignore"):  # an overflowing difference is rescaled below
+            err = fro_norm(np.subtract(x, y, dtype=np.result_type(x, y, np.int8)))
+        return err, 0.0 if r is None else fro_norm(r)
+
+    err, den = norms(obtained, original, ref)
+    if max(err, den) < math.inf:
+        return 1.0, err, den
+    s = max(float(np.max(np.abs(obtained))), float(np.max(np.abs(original))))
+    return (s, *norms(obtained / s, original / s, None if ref is None else ref / s))
 
 
 def rse(obtained, original, denominator: str = "obtained") -> float:
@@ -97,16 +115,17 @@ def rse(obtained, original, denominator: str = "obtained") -> float:
 
     The denominator is the obtained tensor by convention here; pass
     ``denominator='original'`` for the more common normalization.  The ratio
-    of the two norms is squared, not each norm, so neither overflows nor
-    underflows on its own.
+    of the two norms is squared, not each norm, and both are rescaled when
+    either exceeds the float range, so none overflows or underflows on its
+    own.  NaN or inf in either tensor raises ``ParameterError``.
     """
     obtained, original = same_shape(obtained, original)
     if denominator not in RSE_DENOMINATORS:
         raise ParameterError(f"unknown RSE denominator {denominator!r}")
-    den = fro_norm(obtained if denominator == "obtained" else original)
+    _, err, den = _error_norm(obtained, original, obtained if denominator == "obtained" else original)
     if den == 0.0:
         raise ParameterError("RSE undefined: zero denominator tensor")
-    ratio = _error_norm(obtained, original) / den
+    ratio = err / den
     return ratio * ratio
 
 
@@ -117,23 +136,18 @@ def psnr(obtained, original) -> float:
     square overflows or underflows; when the error norm itself exceeds the
     float range, its log is log10 s + log10 ||obtained / s - original / s||_F
     with s the largest |entry| of either tensor.  Identical tensors give +inf,
-    a zero Max gives -inf; complex tensors raise ``ParameterError``.
+    a zero Max gives -inf; complex tensors, NaN and inf raise ``ParameterError``.
     """
     obtained, original = same_shape(obtained, original)
     if np.iscomplexobj(obtained) or np.iscomplexobj(original):
         raise ParameterError("PSNR needs real tensors, got complex")
-    with np.errstate(over="ignore"):  # an overflowing difference is rescaled below
-        err = _error_norm(obtained, original)
+    s, err, _ = _error_norm(obtained, original)
     if err == 0.0:
         return math.inf
     peak = abs(float(np.max(obtained)))
     if peak == 0.0:
         return -math.inf
-    if err == math.inf:
-        s = max(float(np.max(np.abs(obtained))), float(np.max(np.abs(original))))
-        if s < math.inf:
-            return 20.0 * (math.log10(peak) - math.log10(s) - math.log10(fro_norm(obtained / s - original / s)))
-    return 20.0 * (math.log10(peak) - math.log10(err))
+    return 20.0 * (math.log10(peak) - math.log10(s) - math.log10(err))
 
 
 @dataclass

@@ -15,10 +15,12 @@ complex and so may its outputs.  A zero-size first or second dim gives the
 empty result.
 
 :func:`svt` works on each slice's small Hermitian Gram matrix instead of the
-slice.  When the Gram has order >= 4 * ``_BLOCK`` it first tries a certified
-block of ``_BLOCK`` Ritz pairs per slice, which may also prove the result
-zero; otherwise, or when the block cannot be certified, it factors the whole
-Gram.  It takes the slice's SVD when ``tau < 1e-6 * max_p ||H_p||_F``.  Each
+slice.  When the Gram has order >= 4 * ``_BLOCK`` it first screens out the
+slices whose Gershgorin bound is at most tau^2, steps a block of ``_BLOCK``
+Ritz pairs on the others until each converges and retires, and certifies
+them all with one Cholesky over the unscreened slices; this may also prove the
+result zero.  Otherwise, or when the block cannot be certified, it factors the
+whole Gram.  It takes the slice's SVD when ``tau < 1e-6 * max_p ||H_p||_F``.  Each
 way gives the (U, sigma) of one shrink.
 :func:`t_svd`, :func:`ranks`, :func:`spectral_norm` and :func:`nuclear_norm`
 need the small singular values, which squaring would lose, and stay on the
@@ -222,10 +224,15 @@ def nuclear_norm(a, spec: TransformSpec) -> float:
     return float(_spectrum(a, spec).sum() / spec.alpha)
 
 
-def _certified(gram, v, theta, tau):
-    """Whether the Cholesky of tau^2 I - G + V diag(theta) V^H succeeds on every slice."""
+def _rows(stack, rows):
+    """stack[rows], or stack itself when rows is every slice: no copy of a Gram-sized stack."""
+    return stack if len(rows) == len(stack) else stack[rows]
+
+
+def _certified(gram, rows, v, theta, tau):
+    """Whether the Cholesky of tau^2 I - G + V diag(theta) V^H succeeds on every slice in rows."""
     cert = np.matmul(v * theta[:, None, :], _conj_transpose(v))
-    cert -= gram
+    cert -= _rows(gram, rows)
     idx = np.arange(gram.shape[1])
     cert[:, idx, idx] += tau * tau
     try:
@@ -238,29 +245,52 @@ def _certified(gram, v, theta, tau):
 def _block_pairs(h, gram, tau):
     """Every Gram slice's eigenpairs above tau^2 as (U, sigma), certified; None to decline.
 
-    Block subspace iteration (Halko, Martinsson & Tropp, SIAM Rev. 2011) on
-    G = H H^H: Q = orth(H Omega) for a fixed Omega of r = _BLOCK columns,
-    then Q <- orth(G Q).  A Rayleigh-Ritz step factors the (P, r, r) stack
-    Q^H G Q at step 1, and then at the step where the decay of the residuals
-    since the last one predicts that they pass.  It keeps the Ritz pairs
-    (v, theta) with sigma = sqrt(theta) > tau, and the block is accepted when
-    on every slice
+    A slice is zero, with no factorization, when the largest absolute row sum
+    of its G, times 1 + 2 n eps for the sum's rounding, is at most tau^2: by
+    Gershgorin no eigenvalue of the computed Gram exceeds it.  The other
+    slices start live and take block subspace iteration (Halko, Martinsson &
+    Tropp, SIAM Rev. 2011) on G = H H^H: Q = orth(H Omega) for a fixed Omega
+    of r = _BLOCK columns, then Q <- orth(G Q).  A Rayleigh-Ritz step factors
+    the (L, r, r) stack Q^H G Q of the L live slices at step 1, and then at
+    the step where the decay of each live slice's residuals since the last
+    check predicts that they all pass.  It keeps the Ritz pairs (v, theta)
+    with sigma = sqrt(theta) > tau.  A live slice retires, and takes no more
+    steps, when
     - each kept pair has ||G v - theta v|| <= c n eps theta_1, so G is within
       rounding of a G~ with these exact eigenpairs, and
-    - the Cholesky of tau^2 I - G + V_k Theta_k V_k^H succeeds, so by
-      Sylvester's law of inertia G~ has no other eigenvalue above tau^2.
-    With nothing kept the second is the zero prox's certificate; if it fails,
-    the steps go on.  The block declines, and the caller factors the whole
-    Gram, when its r-th Ritz value exceeds tau^2 (Ritz values are lower
+    - its first unkept pair (theta, r) has theta + r max(1, r / (theta -
+      theta')) < tau^2, theta' the next Ritz value (0 past the block).  If
+      the pair's vector is c x + s z, x an eigenvector of eigenvalue lambda
+      and z of Rayleigh quotient mu, then lambda = theta + r^2 / (theta - mu),
+      and theta' stands in for mu; so the slice's next eigenvalue is most
+      likely below tau^2, which the certificate then proves.
+    At the first check where every live slice passes the first test, and at
+    each later one while some pair is kept, one Cholesky of
+    tau^2 I - G + V_k Theta_k V_k^H is tried over the unscreened slices, with
+    each retired slice's pairs.  If it succeeds, then by Sylvester's law of
+    inertia no G~ has another eigenvalue above tau^2, and the block is
+    accepted.  With nothing kept it is the zero prox's certificate, and if it
+    fails the steps go on.  The block declines, and the caller factors the
+    whole Gram, when an r-th Ritz value exceeds tau^2 (Ritz values are lower
     bounds, so more than r eigenvalues do), when the residuals will not pass
-    within _BLOCK_MAX_STEPS steps, or when a certificate with pairs kept fails.
+    within _BLOCK_MAX_STEPS steps or every slice retired uncertified, or when
+    a certificate with pairs kept fails.
     """
-    bound = _BLOCK_RESIDUAL * gram.shape[1] * np.finfo(float).eps
+    P, n = gram.shape[:2]
+    eps = np.finfo(float).eps
     omega = np.random.default_rng(0).standard_normal((h.shape[2], _BLOCK))
-    q = np.linalg.qr(np.matmul(h, omega))[0]
-    check, last, zero_tried = 1, None, False  # last: (step, worst) of the last check that failed
+    u = np.zeros((P, n, _BLOCK), dtype=np.result_type(h, omega))  # each slice's pairs at its last check
+    lam = np.zeros((P, _BLOCK))  # their kept Ritz values, 0 where unkept
+    unscreened = np.flatnonzero(np.abs(gram).sum(axis=2).max(axis=1) * (1.0 + 2.0 * n * eps) > tau * tau)
+    if not unscreened.size:
+        return u[:, :, :0], lam[:, :0]
+    live = unscreened
+    q = np.linalg.qr(np.matmul(h, omega)[live])[0]
+    g = _rows(gram, live)  # the live slices' Gram
+    check, zero_tried = 1, False
+    last, since = np.full(P, np.inf), 0  # each slice's worst ratio (below) at the last check, and its step
     for step in range(1, _BLOCK_MAX_STEPS + 1):
-        y = np.matmul(gram, q)
+        y = np.matmul(g, q)
         if step == check:
             w, theta, _ = np.linalg.svd(np.matmul(_conj_transpose(q), y), hermitian=True)
             sv = np.sqrt(theta)
@@ -269,24 +299,38 @@ def _block_pairs(h, gram, tau):
             kept = sv > tau
             v = np.matmul(q, w)
             res = np.linalg.norm(np.matmul(y, w) - v * theta[:, None, :], axis=1)
-            # the largest kept residual over its bound
-            worst = float(np.divide(res, bound * theta[:, :1], out=np.zeros_like(res), where=kept).max())
-            if worst <= 1.0 and (kept.any() or not zero_tried):
-                k = int(kept.sum(axis=1).max())
-                if _certified(gram, v[:, :, :k], np.where(kept, theta, 0.0)[:, :k], tau):
-                    return v[:, :, :k], sv[:, :k]
+            # each live slice's largest kept residual over its bound
+            bound = _BLOCK_RESIDUAL * n * eps * theta[:, :1]
+            worst = np.divide(res, bound, out=np.zeros_like(res), where=kept).max(axis=1)
+            u[live], lam[live] = v, np.where(kept, theta, 0.0)
+            k = int(np.count_nonzero(lam, axis=1).max())
+            if worst.max() <= 1.0 and (k or not zero_tried):
+                g = None  # freed before the certificate's two Gram-sized stacks
+                if _certified(gram, unscreened, u[unscreened, :, :k], lam[unscreened, :k], tau):
+                    return u[:, :, :k], np.sqrt(lam[:, :k])
                 if k:
                     return None
                 zero_tried = True
-            gap = 1
-            if worst > 1.0:
-                if last is not None and worst < last[1] < math.inf:
-                    decay = math.log(last[1] / worst) / (step - last[0])  # per step; 0 if lost to rounding
-                    gap = math.ceil(math.log(worst) / decay) if decay else _BLOCK_MAX_STEPS
-                last = step, worst
-            check = step + gap
-            if check > _BLOCK_MAX_STEPS:
+            first = kept.sum(axis=1)[:, None]  # the first unkept pair (t1, r1), then t2 = theta'
+            t1, r1 = np.take_along_axis(theta, first, axis=1)[:, 0], np.take_along_axis(res, first, axis=1)[:, 0]
+            t2 = np.take_along_axis(np.pad(theta, ((0, 0), (0, 1))), first + 1, axis=1)[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                stay = (worst > 1.0) | (t1 + r1 * np.fmax(1.0, r1 / (t1 - t2)) >= tau * tau)
+                # the steps until each failing slice passes, from its decay per step since the
+                # last check: inf if the decay is lost to rounding, 1 with no decay to go by
+                decay = np.log(last[live] / worst) / (step - since)
+                gaps = np.where((worst > 1.0) & (0.0 <= decay) & (decay < np.inf), np.log(worst) / decay, 1.0)
+            last[live], since = worst, step
+            if not stay.all():
+                live, q, y, g, gaps = live[stay], q[stay], y[stay], None, gaps[stay]
+                if not live.size:
+                    return None
+            if g is None:
+                g = _rows(gram, live)
+            gap = float(gaps.max())
+            if step + gap > _BLOCK_MAX_STEPS:
                 break
+            check = step + max(1, math.ceil(gap))
         q = np.linalg.qr(y)[0]
     return None
 
@@ -302,13 +346,18 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     that hold some sigma_p > tau.  U and sigma come from the Hermitian Gram
     G = H H^H of every slice, with one of three outcomes for the whole stack:
 
-    - zero: the Cholesky of tau^2 I - G succeeds on every slice, so no sigma
-      exceeds tau and the result is exactly zero;
-    - certified block: a block of ``_BLOCK`` Ritz pairs per slice passes a
-      residual bound of c n eps ||G|| and an inertia certificate (see
-      :func:`_block_pairs`).  The result is then the exact Gram prox of a
-      matrix within that bound of G, as the factorization's own result is
-      for a matrix within its backward error;
+    - zero: each slice passes a Gershgorin screen (its largest absolute row
+      sum of G is at most tau^2), or the Cholesky of tau^2 I - G succeeds on
+      every slice that does not, so no sigma exceeds tau and the result is
+      exactly zero;
+    - certified block: the slices that fail the screen step a block of
+      ``_BLOCK`` Ritz pairs each.  A slice stops stepping, or retires, once
+      its kept pairs pass a residual bound of c n eps ||G|| and its first
+      unkept pair is most likely below tau^2.  One inertia certificate over
+      the unscreened slices, each with its retired pairs, then accepts the
+      block (see :func:`_block_pairs`).  The result is the exact Gram prox
+      of a matrix within that bound of G, as the factorization's own result
+      is for a matrix within its backward error;
     - exact: one ``np.linalg.svd(G, hermitian=True)`` factors every slice.
 
     The first two need a Gram of order >= 4 * ``_BLOCK``; below that, and

@@ -34,6 +34,8 @@ from ltensor.linalg import (
 )
 from ltensor.transforms import make_spec
 
+from conftest import synthetic_video
+
 
 def _report(name, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
@@ -240,24 +242,8 @@ def test_completion_recovery_regression(kind):
     )
 
 
-def _synthetic_video(dims=(36, 44, 3, 20)):
-    h, w, c, t = dims
-    yy = np.linspace(0, 1, h)[:, None]
-    xx = np.linspace(0, 1, w)[None, :]
-    video = np.zeros(dims)
-    for ti in range(t):
-        phase = 2 * np.pi * ti / t
-        for ci in range(c):
-            base = (0.45 + 0.25 * np.sin(2 * np.pi * yy + phase + ci)
-                    + 0.2 * np.cos(2 * np.pi * xx - 0.5 * phase + 0.3 * ci)
-                    + 0.08 * np.sin(6 * np.pi * yy) * np.cos(6 * np.pi * xx))
-            video[:, :, ci, ti] = base
-    lo, hi = video.min(), video.max()
-    return (video - lo) / (hi - lo)
-
-
 def test_recovery_improves_with_sampling_ratio():
-    m = _synthetic_video()
+    m = synthetic_video((36, 44, 3, 20))
     spec = make_spec("fft", m.shape)
     results = {}
     for sr in (0.05, 0.10):

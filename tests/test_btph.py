@@ -3,7 +3,7 @@ import pytest
 
 from ltensor.btph import bdiag, btph, check_diagonalization, cproduct_via_btph, ten
 from ltensor.core import as_rep_stack, fro_norm
-from ltensor.errors import OracleScaleError, ShapeError, StructureError
+from ltensor.errors import OracleScaleError, ParameterError, ShapeError, StructureError
 from ltensor.linalg import identity_tensor, l_product
 from ltensor.transforms import make_spec
 
@@ -70,6 +70,12 @@ class TestTen:
     def test_shape_error(self):
         with pytest.raises(StructureError):
             ten(np.zeros((4, 4)), (2, 3, 2))
+
+    @pytest.mark.parametrize("dims", [(2, 2.7, 2), None], ids=["float", "none"])
+    def test_dims_must_be_counts(self, rng, dims):
+        # int(d) read 2.7 as 2 and returned a (2, 2, 2) tensor; None leaked TypeError
+        with pytest.raises(ParameterError, match="dims must be"):
+            ten(btph(rng.standard_normal((2, 2, 2))), dims)
 
 
 class TestBdiag:

@@ -165,6 +165,27 @@ class TestMetrics:
         assert np.isclose(psnr(np.full(s, 1e308), np.full(s, -1e308)), 10 * math.log10(1 / 32), rtol=1e-14)
 
     @pytest.mark.filterwarnings("error")
+    def test_rse_beyond_the_float_range(self):
+        s = (2, 2, 2)
+        # both norms, sqrt(8) * 1e308, overflowed and inf / inf read nan
+        assert np.isclose(rse(np.full(s, 1e308), np.zeros(s)), 1.0, rtol=1e-14)
+        # the difference 1e308 - (-1e308) warned "overflow encountered in subtract"
+        assert np.isclose(rse(np.full(s, 1e308), np.full(s, -1e308)), 4.0, rtol=1e-14)
+        # only the denominator overflowed, and a finite error over inf read 0
+        assert np.isclose(rse(np.full(s, 1e308), np.full(s, 0.9e308)), 0.01, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("metric", [rse, psnr])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["obtained", "original"])
+    def test_non_finite_operands_are_refused(self, metric, bad, which):
+        # both metrics returned nan
+        pair = [np.ones((2, 2, 2)), np.full((2, 2, 2), 0.5)]
+        pair[which == "original"][1, 0, 1] = bad
+        with pytest.raises(ParameterError, match="NaN or inf"):
+            metric(*pair)
+
+    @pytest.mark.filterwarnings("error")
     def test_tiny_tensors(self):
         # the squares underflowed: rse saw a zero denominator, psnr returned inf for
         # tensors that differ, and a zero peak square gave "math domain error"

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltensor.completion
 import ltensor.linalg
 from ltensor.btph import cproduct_via_btph
+from ltensor.completion import CompletionConfig, pga_complete, sample_mask
 from ltensor.core import as_rep_stack, fro_norm, from_rep_stack, rep_matrix
 from ltensor.errors import LTensorError, ParameterError, ShapeError, UnsupportedSpecError
 from ltensor.linalg import (
@@ -24,7 +26,7 @@ from ltensor.linalg import (
 )
 from ltensor.transforms import apply_l, apply_l_inv, build_fourier_matrix, make_spec
 
-from conftest import random_shape
+from conftest import random_shape, synthetic_video
 
 
 def tube(*vals):
@@ -567,17 +569,19 @@ class TestSvtGram:
 def _with_l_spectrum(rng, kind, shape, svals, complex_input):
     """A tensor and its spec whose transform-domain slices each have the singular values svals.
 
-    Under fft the trailing dims are 2s, so the real slices of a real tensor are
-    any real matrices.
+    svals is one spectrum for every slice, or a list of one per slice.  Under
+    fft the trailing dims are 2s, so the real slices of a real tensor are any
+    real matrices.
     """
     spec = make_spec(kind, shape)
+    per_slice = svals if isinstance(svals, list) else [svals] * int(np.prod(shape[2:]))
 
-    def orthonormal(rows):
-        z = rng.standard_normal((rows, len(svals)))
+    def orthonormal(rows, cols):
+        z = rng.standard_normal((rows, cols))
         return np.linalg.qr(z + 1j * rng.standard_normal(z.shape) if complex_input else z)[0]
 
-    stack = np.stack([(orthonormal(shape[0]) * svals) @ orthonormal(shape[1]).conj().T
-                      for _ in range(int(np.prod(shape[2:])))])
+    stack = np.stack([(orthonormal(shape[0], len(sv)) * sv) @ orthonormal(shape[1], len(sv)).conj().T
+                      for sv in per_slice])
     return apply_l_inv(from_rep_stack(stack, shape[2:]), spec, assume_real=not complex_input), spec
 
 
@@ -653,6 +657,61 @@ class TestSvtBlock:
         out = svt(a, 1.0, spec)
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
         assert hermitian_shapes[-1] == (4, 26, 26)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_screened_and_retired_slices_leave_the_ritz_stack(self, rng, kind, hermitian_shapes):
+        # the two slices far below tau pass the Gershgorin screen and never enter the
+        # block; the rank-2 slice retires at the first check, the graded one steps on
+        far = np.full(26, 0.01)
+        spectra = [far, np.array([5.0, 2.0]), np.logspace(1, -8, 26), far]
+        a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), spectra, False)
+        out = svt(a, 1.0, spec)
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+        assert hermitian_shapes[0] == (2, self.R, self.R)
+        assert (1, self.R, self.R) in hermitian_shapes[1:]
+        assert all(shape[1:] == (self.R, self.R) for shape in hermitian_shapes)  # no Gram factorization
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    @pytest.mark.parametrize("top", [1.03, 1.1])
+    def test_a_value_the_first_check_underestimates_keeps_its_slice_live(self, rng, kind, top, hermitian_shapes):
+        # sigma_1 just above tau over a floor at 0.5 tau: every slice's first Ritz value is
+        # below tau^2, so nothing is kept and the zero certificate fails.  Retired on their
+        # residual test alone, the slices would leave nothing to step, and svt would factor
+        # the Gram.  At 1.03 the first pair's theta + r is below tau^2 too; only its
+        # theta + r^2 / (theta - theta') keeps the slices live
+        a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), np.r_[top, np.full(25, 0.5)], False)
+        hat = as_rep_stack(apply_l(a, spec))
+        q = np.linalg.qr(hat @ np.random.default_rng(0).standard_normal((30, self.R)))[0]  # svt's first block
+        qh_hat = np.swapaxes(q, 1, 2).conj() @ hat
+        assert np.linalg.eigvalsh(qh_hat @ np.swapaxes(qh_hat, 1, 2).conj()).max() < 1.0
+        out = svt(a, 1.0, spec)
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+        assert hermitian_shapes and all(shape[1:] == (self.R, self.R) for shape in hermitian_shapes)
+
+    def test_a_stack_under_the_gershgorin_screen_needs_no_factorization(self, rng, hermitian_shapes, monkeypatch):
+        factored, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda x: factored.append(x.shape) or cholesky(x))
+        a, spec = _with_l_spectrum(rng, "fft", (26, 30, 2, 2), np.full(26, 0.01), True)
+        out = svt(a, 1.0, spec)
+        assert not out.any() and not hermitian_shapes and not factored
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_the_benchmark_solve_factors_no_whole_gram(self, kind, hermitian_shapes, monkeypatch):
+        # bench/'s complete-* workloads: a 72x88x3x20 video with 20% observed by mask
+        # seed 1, so 60 slices of 72x88 and Grams of order 72 (~1 s dct, ~2 s fft)
+        m = synthetic_video((72, 88, 3, 20))
+        latest, prox = [], ltensor.completion.svt
+
+        def keep_latest(*args):  # one call's input only: each holds a whole video
+            latest[:] = args
+            return prox(*args)
+
+        monkeypatch.setattr(ltensor.completion, "svt", keep_latest)
+        pga_complete(m, sample_mask(m.shape, 0.2, 1), CompletionConfig(spec=make_spec(kind, m.shape), max_iters=300))
+        assert len(hermitian_shapes) > 50 and all(shape[1:] == (self.R, self.R) for shape in hermitian_shapes)
+        g, tau, spec = latest
+        assert fro_norm(svt(g, tau, spec) - _svd_prox(g, tau, spec)) <= 1e-12 * fro_norm(g)
 
     def test_same_input_same_output_whatever_ran_before(self, rng):
         a, spec = _with_l_spectrum(rng, "dct", (30, 26, 2, 2), np.array([3.0, 1.5, 0.2]), False)
