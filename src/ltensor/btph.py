@@ -13,7 +13,7 @@ import scipy.linalg
 
 from .core import _as_array, as_rep_stack, count_tuple, num_rep, product_operands
 from .errors import OracleScaleError, ParameterError, ShapeError, StructureError
-from .transforms import TransformSpec, apply_l, build_dct_matrix
+from .transforms import TransformSpec, apply_l, build_dct_matrix, check_spec
 
 _MAX_SIDE = 4096
 _STRUCT_TOL = 1e-8
@@ -118,7 +118,7 @@ def check_diagonalization(x, spec: TransformSpec) -> float:
     residual below 1e-10 * (1 + ||x||_F).
     """
     x = _as_array(x)
-    if spec.kind != "cprod":
+    if check_spec(spec).kind != "cprod":
         raise StructureError("diagonalization check is defined for the cprod kind")
     if spec.modes != tuple(range(3, x.ndim + 1)):
         raise StructureError("diagonalization check needs all trailing modes transformed")

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import _as_array, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, same_shape
+from .core import _as_array, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_real, same_shape
 from .errors import ParameterError, ShapeError
 from .linalg import svt
-from .transforms import TransformSpec
+from .transforms import TransformSpec, check_spec
 
 
 # The tensors an RSE may divide by; ``rse``'s ``denominator`` names one.
@@ -73,8 +73,8 @@ def project_omega(x, mask) -> np.ndarray:
 
 def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
     """Uniform observation mask with exactly round(sr * prod(dims)) entries."""
-    if not 0.0 <= sr <= 1.0:
-        raise ParameterError(f"sampling ratio must be in [0, 1], got {sr}")
+    if not (is_real(sr) and 0.0 <= sr <= 1.0):
+        raise ParameterError(f"sampling ratio must be in [0, 1], got {sr!r}")
     checked = count_tuple(dims)
     if checked is None or not is_count(seed):
         raise ParameterError(f"seed and dims must be integers >= 0, got seed {seed} and dims {dims}")
@@ -170,16 +170,15 @@ class CompletionConfig:
 
     def validate(self):
         """Raise ParameterError for any value out of range; NaN is out of every range."""
-        if not isinstance(self.spec, TransformSpec):
-            raise ParameterError(f"spec must be a TransformSpec from make_spec, got {type(self.spec).__name__}")
-        if not 0.0 < self.nu < 1.0:
-            raise ParameterError(f"nu must be in (0, 1), got {self.nu}")
-        if not 0.0 < self.tol:
-            raise ParameterError(f"tol must be > 0, got {self.tol}")
-        if not 0.0 <= self.mu_bar_ratio <= 1.0:
-            raise ParameterError(f"mu_bar_ratio must be in [0, 1], got {self.mu_bar_ratio}")
-        if self.mu0 is not None and not 0.0 <= self.mu0 < math.inf:
-            raise ParameterError(f"mu0 must be finite and >= 0, got {self.mu0}")
+        check_spec(self.spec)
+        if not (is_real(self.nu) and 0.0 < self.nu < 1.0):
+            raise ParameterError(f"nu must be in (0, 1), got {self.nu!r}")
+        if not (is_real(self.tol) and 0.0 < self.tol):
+            raise ParameterError(f"tol must be > 0, got {self.tol!r}")
+        if not (is_real(self.mu_bar_ratio) and 0.0 <= self.mu_bar_ratio <= 1.0):
+            raise ParameterError(f"mu_bar_ratio must be in [0, 1], got {self.mu_bar_ratio!r}")
+        if self.mu0 is not None and not (is_real(self.mu0) and 0.0 <= self.mu0 < math.inf):
+            raise ParameterError(f"mu0 must be finite and >= 0, got {self.mu0!r}")
         if not is_count(self.max_iters, 1):
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if self.rse_denominator not in RSE_DENOMINATORS:
@@ -229,7 +228,7 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
     <= tol or at max_iters.
     """
     cfg.validate()
-    cfg.spec.require_unitary("pga_complete")
+    check_spec(cfg.spec, "pga_complete")
     m = _real_finite(m, "data")
     mask = _observed(mask, m.shape)
     if ground_truth is not None:

@@ -35,7 +35,8 @@ public function reads its arrays through it or through :func:`_as_tensor`,
 which adds the order >= 2 test.  A ragged sequence, or a dtype other than
 bool, integer, float or complex (strings, objects, None), raises
 ``ParameterError``.  Every count a caller passes (a size, dim, rank or seed)
-must pass :func:`is_count`.
+must pass :func:`is_count`, and every real parameter (a threshold, tolerance,
+ratio or step) :func:`is_real` before its range test.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def _as_tensor(x) -> np.ndarray:
 def is_count(value, low=0) -> bool:
     """Whether value is an integer (Python or numpy) >= low; floats are not, even 2.0, nor are bools."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number: an int or float (Python or numpy); bools, complex, str and None are not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def count_tuple(dims):

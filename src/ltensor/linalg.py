@@ -16,12 +16,14 @@ empty result.
 
 :func:`svt` works on each slice's small Hermitian Gram matrix instead of the
 slice.  When the Gram has order >= 4 * ``_BLOCK`` it first screens out the
-slices whose Gershgorin bound is at most tau^2, steps a block of ``_BLOCK``
-Ritz pairs on the others until each converges and retires, and certifies
-them all with one Cholesky over the unscreened slices; this may also prove the
-result zero.  Otherwise, or when the block cannot be certified, it factors the
-whole Gram.  It takes the slice's SVD when ``tau < 1e-6 * max_p ||H_p||_F``.  Each
-way gives the (U, sigma) of one shrink.
+slices whose Gershgorin bound is at most tau^2 and steps a block of
+``_BLOCK`` Ritz pairs on the others, checking them every ``_BLOCK_CHECK``
+steps until each converges and retires.  At each check where the live slices
+have converged it tries one Cholesky over the unscreened slices, which
+certifies them all, or proves the result zero; if that fails they step on.
+Otherwise, or when the block cannot be certified, it factors the whole Gram.
+It takes the slice's SVD when ``tau < 1e-6 * max_p ||H_p||_F``.  Each way
+gives the (U, sigma) of one shrink.
 :func:`t_svd`, :func:`ranks`, :func:`spectral_norm` and :func:`nuclear_norm`
 need the small singular values, which squaring would lose, and stay on the
 direct SVD.
@@ -29,14 +31,13 @@ direct SVD.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _as_tensor, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, num_rep, product_operands, scratch
+from .core import _as_tensor, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_real, num_rep, product_operands, scratch
 from .errors import ParameterError, ShapeError
-from .transforms import TransformSpec, apply_l, apply_l_inv
+from .transforms import TransformSpec, apply_l, apply_l_inv, check_spec
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 
@@ -46,9 +47,11 @@ _GRAM_MIN_TAU = 1e-6
 _GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
 
 # svt's block prox (see _block_pairs): the block width r, used on Grams of
-# order >= 4 r; its most block steps; and c in the residual bound c n eps theta_1.
+# order >= 4 r; its most block steps; the steps from one Rayleigh-Ritz check to
+# the next; and c in the residual bound c n eps theta_1.
 _BLOCK = 6
 _BLOCK_MAX_STEPS = 30
+_BLOCK_CHECK = 3
 _BLOCK_RESIDUAL = 4.0
 
 
@@ -103,7 +106,7 @@ def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
         raise ParameterError(f"identity size must be an integer >= 0, so must trailing dims: {n}, {trailing_dims}")
     P = num_rep((n, n) + trailing)
     stack = np.broadcast_to(np.eye(n), (P, n, n)).copy()
-    return apply_l_inv(from_rep_stack(stack, trailing), spec, assume_real=_real(spec))
+    return apply_l_inv(from_rep_stack(stack, trailing), spec, assume_real=_real(check_spec(spec)))
 
 
 def _conj_transpose(stack):
@@ -118,8 +121,8 @@ def l_transpose(a, spec: TransformSpec) -> np.ndarray:
 
 def is_orthogonal(q, spec: TransformSpec, tol: float = 1e-10) -> bool:
     """Whether q *_L q^T and q^T *_L q both equal the identity within tol >= 0."""
-    if not 0.0 <= tol:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
+    if not (is_real(tol) and 0.0 <= tol):
+        raise ParameterError(f"tol must be >= 0, got {tol!r}")
     q = _as_tensor(q)
     if q.shape[0] != q.shape[1]:
         raise ShapeError(f"orthogonality needs square first two dims, got {q.shape[:2]}")
@@ -202,8 +205,8 @@ def truncate(f: LFactors, k: int) -> np.ndarray:
 
 def ranks(a, spec: TransformSpec, threshold: float = DEFAULT_RANK_THRESHOLD) -> RankReport:
     """Tubal rank, multirank vector and average rank at a relative threshold."""
-    if not 0.0 <= threshold:
-        raise ParameterError(f"threshold must be >= 0, got {threshold}")
+    if not (is_real(threshold) and 0.0 <= threshold):
+        raise ParameterError(f"threshold must be >= 0, got {threshold!r}")
     sv = _spectrum(a, spec)
     nonzero = sv > threshold * float(sv.max(initial=0.0))
     multirank = nonzero.sum(axis=1)
@@ -214,13 +217,13 @@ def ranks(a, spec: TransformSpec, threshold: float = DEFAULT_RANK_THRESHOLD) -> 
 
 def spectral_norm(a, spec: TransformSpec) -> float:
     """Largest transform-domain singular value over all slices."""
-    spec.require_unitary("spectral_norm")
+    check_spec(spec, "spectral_norm")
     return float(_spectrum(a, spec).max(initial=0.0))
 
 
 def nuclear_norm(a, spec: TransformSpec) -> float:
     """alpha^{-1} * sum of all transform-domain singular values."""
-    spec.require_unitary("nuclear_norm")
+    check_spec(spec, "nuclear_norm")
     return float(_spectrum(a, spec).sum() / spec.alpha)
 
 
@@ -250,11 +253,10 @@ def _block_pairs(h, gram, tau):
     Gershgorin no eigenvalue of the computed Gram exceeds it.  The other
     slices start live and take block subspace iteration (Halko, Martinsson &
     Tropp, SIAM Rev. 2011) on G = H H^H: Q = orth(H Omega) for a fixed Omega
-    of r = _BLOCK columns, then Q <- orth(G Q).  A Rayleigh-Ritz step factors
-    the (L, r, r) stack Q^H G Q of the L live slices at step 1, and then at
-    the step where the decay of each live slice's residuals since the last
-    check predicts that they all pass.  It keeps the Ritz pairs (v, theta)
-    with sigma = sqrt(theta) > tau.  A live slice retires, and takes no more
+    of r = _BLOCK columns, then Q <- orth(G Q).  A Rayleigh-Ritz check factors
+    the (L, r, r) stack Q^H G Q of the L live slices at step 1 and every
+    _BLOCK_CHECK steps after it.  It keeps the Ritz pairs (v, theta) with
+    sigma = sqrt(theta) > tau.  A live slice retires, and takes no more
     steps, when
     - each kept pair has ||G v - theta v|| <= c n eps theta_1, so G is within
       rounding of a G~ with these exact eigenpairs, and
@@ -264,17 +266,15 @@ def _block_pairs(h, gram, tau):
       and z of Rayleigh quotient mu, then lambda = theta + r^2 / (theta - mu),
       and theta' stands in for mu; so the slice's next eigenvalue is most
       likely below tau^2, which the certificate then proves.
-    At the first check where every live slice passes the first test, and at
-    each later one while some pair is kept, one Cholesky of
-    tau^2 I - G + V_k Theta_k V_k^H is tried over the unscreened slices, with
-    each retired slice's pairs.  If it succeeds, then by Sylvester's law of
-    inertia no G~ has another eigenvalue above tau^2, and the block is
-    accepted.  With nothing kept it is the zero prox's certificate, and if it
-    fails the steps go on.  The block declines, and the caller factors the
-    whole Gram, when an r-th Ritz value exceeds tau^2 (Ritz values are lower
-    bounds, so more than r eigenvalues do), when the residuals will not pass
-    within _BLOCK_MAX_STEPS steps or every slice retired uncertified, or when
-    a certificate with pairs kept fails.
+    At every check where each live slice passes the first test, one Cholesky
+    of tau^2 I - G + V_k Theta_k V_k^H is tried over the unscreened slices,
+    with each retired slice's pairs.  If it succeeds, then by Sylvester's law
+    of inertia no G~ has another eigenvalue above tau^2, and the block is
+    accepted; with nothing kept it proves the prox zero.  If it fails, the
+    steps go on.  The block declines, and the caller factors the whole Gram,
+    when an r-th Ritz value exceeds tau^2 (Ritz values are lower bounds, so
+    more than r eigenvalues do), when every slice retired and the certificate
+    failed, or after _BLOCK_MAX_STEPS steps.
     """
     P, n = gram.shape[:2]
     eps = np.finfo(float).eps
@@ -287,11 +287,9 @@ def _block_pairs(h, gram, tau):
     live = unscreened
     q = np.linalg.qr(np.matmul(h, omega)[live])[0]
     g = _rows(gram, live)  # the live slices' Gram
-    check, zero_tried = 1, False
-    last, since = np.full(P, np.inf), 0  # each slice's worst ratio (below) at the last check, and its step
-    for step in range(1, _BLOCK_MAX_STEPS + 1):
+    for step in range(_BLOCK_MAX_STEPS):
         y = np.matmul(g, q)
-        if step == check:
+        if step % _BLOCK_CHECK == 0:
             w, theta, _ = np.linalg.svd(np.matmul(_conj_transpose(q), y), hermitian=True)
             sv = np.sqrt(theta)
             if (sv[:, -1] > tau).any():  # a lower bound: more than r eigenvalues exceed tau^2
@@ -303,34 +301,22 @@ def _block_pairs(h, gram, tau):
             bound = _BLOCK_RESIDUAL * n * eps * theta[:, :1]
             worst = np.divide(res, bound, out=np.zeros_like(res), where=kept).max(axis=1)
             u[live], lam[live] = v, np.where(kept, theta, 0.0)
-            k = int(np.count_nonzero(lam, axis=1).max())
-            if worst.max() <= 1.0 and (k or not zero_tried):
+            if worst.max() <= 1.0:
+                k = int(np.count_nonzero(lam, axis=1).max())
                 g = None  # freed before the certificate's two Gram-sized stacks
                 if _certified(gram, unscreened, u[unscreened, :, :k], lam[unscreened, :k], tau):
                     return u[:, :, :k], np.sqrt(lam[:, :k])
-                if k:
-                    return None
-                zero_tried = True
             first = kept.sum(axis=1)[:, None]  # the first unkept pair (t1, r1), then t2 = theta'
             t1, r1 = np.take_along_axis(theta, first, axis=1)[:, 0], np.take_along_axis(res, first, axis=1)[:, 0]
             t2 = np.take_along_axis(np.pad(theta, ((0, 0), (0, 1))), first + 1, axis=1)[:, 0]
             with np.errstate(divide="ignore", invalid="ignore"):
                 stay = (worst > 1.0) | (t1 + r1 * np.fmax(1.0, r1 / (t1 - t2)) >= tau * tau)
-                # the steps until each failing slice passes, from its decay per step since the
-                # last check: inf if the decay is lost to rounding, 1 with no decay to go by
-                decay = np.log(last[live] / worst) / (step - since)
-                gaps = np.where((worst > 1.0) & (0.0 <= decay) & (decay < np.inf), np.log(worst) / decay, 1.0)
-            last[live], since = worst, step
             if not stay.all():
-                live, q, y, g, gaps = live[stay], q[stay], y[stay], None, gaps[stay]
+                live, q, y, g = live[stay], q[stay], y[stay], None
                 if not live.size:
                     return None
             if g is None:
                 g = _rows(gram, live)
-            gap = float(gaps.max())
-            if step + gap > _BLOCK_MAX_STEPS:
-                break
-            check = step + max(1, math.ceil(gap))
         q = np.linalg.qr(y)[0]
     return None
 
@@ -351,13 +337,16 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
       every slice that does not, so no sigma exceeds tau and the result is
       exactly zero;
     - certified block: the slices that fail the screen step a block of
-      ``_BLOCK`` Ritz pairs each.  A slice stops stepping, or retires, once
-      its kept pairs pass a residual bound of c n eps ||G|| and its first
-      unkept pair is most likely below tau^2.  One inertia certificate over
-      the unscreened slices, each with its retired pairs, then accepts the
-      block (see :func:`_block_pairs`).  The result is the exact Gram prox
-      of a matrix within that bound of G, as the factorization's own result
-      is for a matrix within its backward error;
+      ``_BLOCK`` Ritz pairs each, with a Rayleigh-Ritz check at step 1 and
+      every ``_BLOCK_CHECK`` steps after it.  A slice stops stepping, or
+      retires, once its kept pairs pass a residual bound of c n eps ||G||
+      and its first unkept pair is most likely below tau^2.  At each check
+      where every live slice's kept pairs pass, one inertia certificate over
+      the unscreened slices, each with its retired pairs, is tried; it
+      accepts the block or the steps go on (see :func:`_block_pairs`).  The
+      result is the exact Gram prox of a matrix within that bound of G, as
+      the factorization's own result is for a matrix within its backward
+      error;
     - exact: one ``np.linalg.svd(G, hermitian=True)`` factors every slice.
 
     The first two need a Gram of order >= 4 * ``_BLOCK``; below that, and
@@ -366,9 +355,9 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     §8.6), where fmax = max_p ||H_p||_F; so when tau < 1e-6 * fmax, or the
     Gram overflows or underflows, svt takes the thin SVD of H instead.
     """
-    if not 0.0 <= tau:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
-    spec.require_unitary("svt")
+    if not (is_real(tau) and 0.0 <= tau):
+        raise ParameterError(f"tau must be >= 0, got {tau!r}")
+    check_spec(spec, "svt")
 
     def shrink(hat):
         tall = hat.shape[1] > hat.shape[2]

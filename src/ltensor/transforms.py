@@ -33,6 +33,9 @@ transform makes one finiteness pass over its result and raises
 ``ParameterError`` for NaN or inf input or an overflow, without a numpy
 warning.  This covers :func:`apply_l`, :func:`apply_l_inv`,
 :func:`ltensor.linalg.identity_tensor` and every *_L op.
+
+:func:`check_spec` is the one rule for a spec argument: every transform runs
+it, and so does each op that reads its spec before the first transform.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ def build_cproduct_matrix(n: int) -> np.ndarray:
 
 # The kinds that build their own mode matrices and then run as ``explicit`` does.
 _BUILDERS = {"dct": build_dct_matrix, "cprod": build_cproduct_matrix}
+_KINDS = ("fft", "explicit", *_BUILDERS)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -108,13 +112,6 @@ class TransformSpec:
     def unitary_scaled(self) -> bool:
         return self.alpha is not None
 
-    def require_unitary(self, what: str) -> None:
-        """Raise UnsupportedSpecError unless ``what`` may run on this spec."""
-        if not self.unitary_scaled:
-            raise UnsupportedSpecError(
-                f"{what} requires a unitary-scaled transform; the {self.kind!r} kind is not"
-            )
-
     def __eq__(self, other):
         if not isinstance(other, TransformSpec):
             return NotImplemented
@@ -142,6 +139,20 @@ class TransformSpec:
         return _read_only(f), _read_only(f.conj() / len(f))
 
 
+def check_spec(spec, unitary_for: str | None = None) -> TransformSpec:
+    """spec, checked: the one rule for a spec argument.
+
+    Raises ``ParameterError`` unless spec is a :class:`TransformSpec`, and
+    ``UnsupportedSpecError`` unless it is unitary-scaled when ``unitary_for``
+    names an op that needs that.
+    """
+    if not isinstance(spec, TransformSpec):
+        raise ParameterError(f"spec must be a TransformSpec from make_spec, got {type(spec).__name__}")
+    if unitary_for is not None and not spec.unitary_scaled:
+        raise UnsupportedSpecError(f"{unitary_for} requires a unitary-scaled transform; the {spec.kind!r} kind is not")
+    return spec
+
+
 def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     """Build a TransformSpec for tensors of the given shape.
 
@@ -167,6 +178,8 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         if shape[m - 1] == 0:
             raise TransformError(f"transformed mode {m} has size 0")
     sizes = tuple(shape[m - 1] for m in modes)
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise TransformError(f"unknown transform kind {kind!r}")
     if matrices is not None and kind != "explicit":
         raise TransformError(f"matrices are only for kind 'explicit'; {kind!r} takes none")
 
@@ -174,8 +187,6 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         return TransformSpec("fft", modes, sizes, float(np.prod(sizes)))
     if kind in _BUILDERS:
         matrices = {m: _BUILDERS[kind](n) for m, n in zip(modes, sizes)}
-    elif kind != "explicit":
-        raise TransformError(f"unknown transform kind {kind!r}")
     elif matrices is None:
         raise TransformError("explicit kind requires per-mode matrices")
     try:
@@ -213,6 +224,7 @@ _STEPS = ("transforms.step0", "transforms.step1")
 
 
 def _mode_loop(x, spec, inverse, overwrite=False, role=None):
+    check_spec(spec)
     x = _as_tensor(x)
     for mode, size in zip(spec.modes, spec.sizes):
         if mode > x.ndim or x.shape[mode - 1] != size:

@@ -255,6 +255,19 @@ class TestConfig:
         with pytest.raises(ParameterError, match=field):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        # mu0=None is the default, nu * ||M||_F
+        [(f, v) for f in ("nu", "tol", "mu_bar_ratio", "mu0") for v in (None, "0.5", [0.5], 0.5j, True)
+         if (f, v) != ("mu0", None)],
+        ids=str,
+    )
+    def test_validate_refuses_a_value_that_is_not_a_real_number(self, field, value):
+        # each leaked a TypeError from its range test, or passed it (True)
+        cfg = CompletionConfig(spec=make_spec("fft", (2, 2, 2)), **{field: value})
+        with pytest.raises(ParameterError, match=field):
+            cfg.validate()
+
     def test_validate_rejects_a_fractional_max_iters(self):
         # passed validate() and failed in range() with TypeError
         cfg = CompletionConfig(spec=make_spec("fft", (2, 2, 2)), max_iters=2.5)

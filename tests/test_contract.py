@@ -7,8 +7,14 @@ warnings treated as errors; a hostile count must be refused. The table has
 to cover ``ltensor.__all__`` exactly, so a new public name cannot skip it.
 A function that takes dims gets each hostile count both inside a dims tuple
 and as the whole dims argument.
+
+Every real parameter (a threshold, tolerance or ratio) must refuse each
+hostile real, and every name with a ``spec`` parameter each hostile spec,
+with ``ParameterError``; ``make_spec`` must refuse each hostile kind.
 """
 
+import inspect
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +23,7 @@ import pytest
 import ltensor
 from ltensor import (
     CompletionConfig,
+    LFactors,
     apply_l,
     apply_l_inv,
     build_cproduct_matrix,
@@ -49,7 +56,7 @@ from ltensor import (
     truncate,
     write_container,
 )
-from ltensor.errors import LTensorError
+from ltensor.errors import LTensorError, ParameterError, TransformError
 
 SHAPE = (3, 3, 3, 2)  # square slices for is_orthogonal, three channels for export_ppm_dir
 SPEC = make_spec("fft", SHAPE)
@@ -143,6 +150,39 @@ COUNT_ROWS = [
     ("truncate", lambda c: truncate(t_svd(Y, SPEC), c)),
 ]
 
+REALS = {"None": None, "str": "1", "list": [1.0], "complex": 1j, "True": True, "nan": math.nan}
+
+# (name, call): each call takes the hostile real; CompletionConfig's fields are
+# tested in tests/test_completion.py
+REAL_ROWS = [
+    ("is_orthogonal", lambda r: is_orthogonal(Y, SPEC, tol=r)),
+    ("ranks", lambda r: ranks(Y, SPEC, threshold=r)),
+    ("sample_mask", lambda r: sample_mask(SHAPE, r, 1)),
+    ("svt", lambda r: svt(Y, r, SPEC)),
+]
+
+SPECS = {"None": None, "str": "fft", "int": 3, "list": []}
+_F = ltensor.t_svd(Y, SPEC)
+
+# (name, call): each call takes the hostile spec; one row per name with a spec parameter
+SPEC_ROWS = [
+    ("CompletionConfig", lambda s: pga_complete(Y, MASK, CompletionConfig(spec=s, max_iters=2))),
+    ("LFactors", lambda s: truncate(LFactors(_F.u, _F.s, _F.v, _F.tube_norms, s), 1)),
+    ("apply_l", lambda s: apply_l(Y, s)),
+    ("apply_l_inv", lambda s: apply_l_inv(Y, s)),
+    ("identity_tensor", lambda s: identity_tensor(3, SHAPE[2:], s)),
+    ("is_orthogonal", lambda s: is_orthogonal(Y, s)),
+    ("l_product", lambda s: l_product(Y, Y, s)),
+    ("l_transpose", lambda s: l_transpose(Y, s)),
+    ("nuclear_norm", lambda s: nuclear_norm(Y, s)),
+    ("ranks", lambda s: ranks(Y, s)),
+    ("spectral_norm", lambda s: spectral_norm(Y, s)),
+    ("svt", lambda s: svt(Y, 0.5, s)),
+    ("t_svd", lambda s: t_svd(Y, s)),
+]
+
+KINDS = {"None": None, "int": 3, "list": [], "array": np.array(["fft"]), "unknown": "FFT"}
+
 # names that take neither an array nor a count, and why
 EXEMPT = {
     "CompletionConfig": "a class; validate() checks its fields (tests/test_completion.py)",
@@ -191,3 +231,27 @@ def test_hostile_operand_gives_a_result_or_an_ltensor_error(call, operand, tmp_p
 @pytest.mark.parametrize("call", [c for _, c in COUNT_ROWS], ids=_ids(COUNT_ROWS))
 def test_hostile_count_is_refused_with_an_ltensor_error(call, count):
     assert _outcome(call, COUNTS[count]) is not None
+
+
+@pytest.mark.parametrize("real", REALS, ids=str)
+@pytest.mark.parametrize("call", [c for _, c in REAL_ROWS], ids=_ids(REAL_ROWS))
+def test_hostile_real_is_refused_with_a_parameter_error(call, real):
+    assert isinstance(_outcome(call, REALS[real]), ParameterError)
+
+
+def test_spec_table_covers_every_name_with_a_spec_parameter():
+    takes_spec = [name for name in ltensor.__all__
+                  if callable(getattr(ltensor, name)) and "spec" in inspect.signature(getattr(ltensor, name)).parameters]
+    assert sorted(name for name, _ in SPEC_ROWS) == sorted(takes_spec)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("call", [c for _, c in SPEC_ROWS], ids=_ids(SPEC_ROWS))
+def test_hostile_spec_is_refused_with_a_parameter_error(call, spec):
+    assert isinstance(_outcome(call, SPECS[spec]), ParameterError)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_hostile_kind_is_refused_with_a_transform_error(kind):
+    # a list leaked numpy's "unhashable type" from the kind lookup
+    assert isinstance(_outcome(make_spec, KINDS[kind], SHAPE), TransformError)

@@ -603,7 +603,12 @@ class TestSvtBlock:
     """svt's certified block prox, on Grams of order >= 4 * _BLOCK; tau is 1."""
 
     R = ltensor.linalg._BLOCK
+    CHECK = ltensor.linalg._BLOCK_CHECK
     SHAPES = {"tall": (30, 26, 2, 2), "wide": (26, 30, 2, 2)}
+    # sigma_1 = 5 converges fast and is kept; the rest sit just below tau, so the
+    # first unkept pair converges slowly and its slice stays live after the kept
+    # pair passes its residual test (at the 5th check)
+    SLOW = np.r_[5.0, np.linspace(0.999, 0.9, 25)]
     SPECTRA = {
         "rank2": [5.0, 2.0],
         "clustered": [3.0, 1.0 + 1e-9, 1.0 - 1e-9, 0.5],
@@ -657,6 +662,59 @@ class TestSvtBlock:
         out = svt(a, 1.0, spec)
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
         assert hermitian_shapes[-1] == (4, 26, 26)
+
+    @staticmethod
+    def _record(monkeypatch, refuse_first_cholesky=False):
+        """Every np.linalg.qr, hermitian svd and cholesky call, in order, as (name, stack shape)."""
+        calls = []
+        qr, svd, cholesky = np.linalg.qr, np.linalg.svd, np.linalg.cholesky
+
+        def recording_qr(x, *args, **kwargs):
+            calls.append(("qr", x.shape))
+            return qr(x, *args, **kwargs)
+
+        def recording_svd(x, **kwargs):
+            if kwargs.get("hermitian"):
+                calls.append(("svd", x.shape))
+            return svd(x, **kwargs)
+
+        def recording_cholesky(x):
+            calls.append(("cholesky", x.shape))
+            if refuse_first_cholesky and [name for name, _ in calls].count("cholesky") == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(x)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_a_failed_certificate_keeps_stepping(self, rng, kind, monkeypatch):
+        # the first certificate, with sigma_1's pair kept, is refused; the slices stay
+        # live, and a later check's certificate accepts the block
+        a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), self.SLOW, False)
+        calls = self._record(monkeypatch, refuse_first_cholesky=True)
+        out = svt(a, 1.0, spec)
+        assert [name for name, _ in calls].count("cholesky") >= 2
+        assert ("svd", (4, 26, 26)) not in calls
+        monkeypatch.undo()
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_rayleigh_ritz_runs_at_a_fixed_stride(self, rng, kind, monkeypatch):
+        # one QR starts the block and one ends each step, so a check after steps
+        # 1, 1 + CHECK, 1 + 2 CHECK, ... follows 1, then CHECK, QRs each
+        a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), self.SLOW, False)
+        calls = self._record(monkeypatch)
+        out = svt(a, 1.0, spec)
+        names = [name for name, _ in calls]
+        checks = [i for i, name in enumerate(names) if name == "svd"]
+        qrs_before = [names[:i].count("qr") for i in checks]
+        assert len(checks) >= 3 and all(calls[i] == ("svd", (4, self.R, self.R)) for i in checks)
+        assert np.diff(qrs_before, prepend=0).tolist() == [1] + [self.CHECK] * (len(checks) - 1)
+        monkeypatch.undo()
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_screened_and_retired_slices_leave_the_ritz_stack(self, rng, kind, hermitian_shapes):
