@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import _as_array, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_real, same_shape
+from .core import _as_array, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_flag, is_real, same_shape
 from .errors import ParameterError, ShapeError
 from .linalg import svt
 from .transforms import TransformSpec, check_spec
@@ -28,6 +28,12 @@ from .transforms import TransformSpec, check_spec
 
 # The tensors an RSE may divide by; ``rse``'s ``denominator`` names one.
 RSE_DENOMINATORS = ("obtained", "original")
+
+
+def _check_denominator(denominator):
+    """ParameterError unless denominator is one of the strings in RSE_DENOMINATORS."""
+    if not (isinstance(denominator, str) and denominator in RSE_DENOMINATORS):
+        raise ParameterError(f"unknown RSE denominator {denominator!r}")
 
 
 def _observed(mask, shape) -> np.ndarray:
@@ -120,8 +126,7 @@ def rse(obtained, original, denominator: str = "obtained") -> float:
     own.  NaN or inf in either tensor raises ``ParameterError``.
     """
     obtained, original = same_shape(obtained, original)
-    if denominator not in RSE_DENOMINATORS:
-        raise ParameterError(f"unknown RSE denominator {denominator!r}")
+    _check_denominator(denominator)
     _, err, den = _error_norm(obtained, original, obtained if denominator == "obtained" else original)
     if den == 0.0:
         raise ParameterError("RSE undefined: zero denominator tensor")
@@ -181,8 +186,9 @@ class CompletionConfig:
             raise ParameterError(f"mu0 must be finite and >= 0, got {self.mu0!r}")
         if not is_count(self.max_iters, 1):
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters}")
-        if self.rse_denominator not in RSE_DENOMINATORS:
-            raise ParameterError(f"unknown RSE denominator {self.rse_denominator!r}")
+        if not is_flag(self.reimpose_observed):
+            raise ParameterError(f"reimpose_observed must be a bool, got {self.reimpose_observed!r}")
+        _check_denominator(self.rse_denominator)
 
 
 @dataclass

@@ -115,6 +115,11 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def is_flag(value) -> bool:
+    """Whether value is a bool (Python or numpy); 0, 1, "no", None and arrays are not."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def count_tuple(dims):
     """dims as a tuple of Python ints if it is a sequence of counts (see is_count), else None."""
     if not np.iterable(dims):

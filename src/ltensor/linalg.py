@@ -14,16 +14,17 @@ contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
 complex and so may its outputs.  A zero-size first or second dim gives the
 empty result.
 
-:func:`svt` works on each slice's small Hermitian Gram matrix instead of the
-slice.  When the Gram has order >= 4 * ``_BLOCK`` it first screens out the
-slices whose Gershgorin bound is at most tau^2 and steps a block of
-``_BLOCK`` Ritz pairs on the others, checking them every ``_BLOCK_CHECK``
-steps until each converges and retires.  At each check where the live slices
-have converged it tries one Cholesky over the unscreened slices, which
-certifies them all, or proves the result zero; if that fails they step on.
-Otherwise, or when the block cannot be certified, it factors the whole Gram.
-It takes the slice's SVD when ``tau < 1e-6 * max_p ||H_p||_F``.  Each way
-gives the (U, sigma) of one shrink.
+:func:`svt` takes each slice's (U, sigma) from one of two routines.  When
+the slice's Gram matrix G = H H^H has order >= 4 * ``_BLOCK``,
+:func:`_gram_pairs` forms G and, unless the Gram is unsafe (``tau < 1e-6 *
+max_p ||H_p||_F``, or overflow or underflow), screens out the slices whose
+Gershgorin bound is at most tau^2 and steps a block of ``_BLOCK`` Ritz pairs
+on the others, checking them every ``_BLOCK_CHECK`` steps until each
+converges and retires.  At each check where the live slices have converged
+it tries one Cholesky over the unscreened slices, which certifies them all,
+or proves the result zero; if that fails they step on.  When the block
+cannot be certified it factors the whole Gram.  Smaller slices, and unsafe
+Grams, take the thin SVD of every slice.
 :func:`t_svd`, :func:`ranks`, :func:`spectral_norm` and :func:`nuclear_norm`
 need the small singular values, which squaring would lose, and stay on the
 direct SVD.
@@ -41,12 +42,12 @@ from .transforms import TransformSpec, apply_l, apply_l_inv, check_spec
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 
-# svt's Gram path needs tau >= 1e-6 * fmax (see svt) and fmax^2 >= tiny / eps,
+# svt's Gram routine needs tau >= 1e-6 * fmax (see svt) and fmax^2 >= tiny / eps,
 # below which the Gram's entries lose accuracy to underflow.
 _GRAM_MIN_TAU = 1e-6
 _GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
 
-# svt's block prox (see _block_pairs): the block width r, used on Grams of
+# svt's block prox (see _gram_pairs): the block width r, used on Grams of
 # order >= 4 r; its most block steps; the steps from one Rayleigh-Ritz check to
 # the next; and c in the residual bound c n eps theta_1.
 _BLOCK = 6
@@ -245,19 +246,21 @@ def _certified(gram, rows, v, theta, tau):
     return True
 
 
-def _block_pairs(h, gram, tau):
-    """Every Gram slice's eigenpairs above tau^2 as (U, sigma), certified; None to decline.
+def _gram_pairs(h, tau):
+    """Every slice's eigenpairs of G = H H^H above tau^2 as (U, sigma); None when the Gram is unsafe.
 
-    A slice is zero, with no factorization, when the largest absolute row sum
-    of its G, times 1 + 2 n eps for the sum's rounding, is at most tau^2: by
-    Gershgorin no eigenvalue of the computed Gram exceeds it.  The other
-    slices start live and take block subspace iteration (Halko, Martinsson &
-    Tropp, SIAM Rev. 2011) on G = H H^H: Q = orth(H Omega) for a fixed Omega
-    of r = _BLOCK columns, then Q <- orth(G Q).  A Rayleigh-Ritz check factors
-    the (L, r, r) stack Q^H G Q of the L live slices at step 1 and every
-    _BLOCK_CHECK steps after it.  It keeps the Ritz pairs (v, theta) with
-    sigma = sqrt(theta) > tau.  A live slice retires, and takes no more
-    steps, when
+    The Gram is unsafe, and the caller takes the slice SVD, when tau < 1e-6
+    fmax or fmax^2 is below tiny / eps or overflows, fmax = max_p ||H_p||_F
+    read off the trace of G.  Otherwise a slice is zero, with no
+    factorization, when the largest absolute row sum of its G, times 1 + 2 n
+    eps for the sum's rounding, is at most tau^2: by Gershgorin no eigenvalue
+    of the computed Gram exceeds it.  The other slices start live and take
+    block subspace iteration (Halko, Martinsson & Tropp, SIAM Rev. 2011) on G:
+    Q = orth(H Omega) for a fixed Omega of r = _BLOCK columns, then Q <-
+    orth(G Q).  A Rayleigh-Ritz check factors the (L, r, r) stack Q^H G Q of
+    the L live slices at step 1 and every _BLOCK_CHECK steps after it.  It
+    keeps the Ritz pairs (v, theta) with sigma = sqrt(theta) > tau.  A live
+    slice retires, and takes no more steps, when
     - each kept pair has ||G v - theta v|| <= c n eps theta_1, so G is within
       rounding of a G~ with these exact eigenpairs, and
     - its first unkept pair (theta, r) has theta + r max(1, r / (theta -
@@ -271,11 +274,17 @@ def _block_pairs(h, gram, tau):
     with each retired slice's pairs.  If it succeeds, then by Sylvester's law
     of inertia no G~ has another eigenvalue above tau^2, and the block is
     accepted; with nothing kept it proves the prox zero.  If it fails, the
-    steps go on.  The block declines, and the caller factors the whole Gram,
-    when an r-th Ritz value exceeds tau^2 (Ritz values are lower bounds, so
-    more than r eigenvalues do), when every slice retired and the certificate
-    failed, or after _BLOCK_MAX_STEPS steps.
+    steps go on.  The block gives up, and one ``np.linalg.svd(G,
+    hermitian=True)`` factors the whole Gram, when an r-th Ritz value exceeds
+    tau^2 (Ritz values are lower bounds, so more than r eigenvalues do), when
+    every slice retired and the certificate failed, or after
+    _BLOCK_MAX_STEPS steps.
     """
+    gram = np.matmul(h, _conj_transpose(h))  # overflow is silenced by _slicewise
+    # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
+    fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max(initial=0.0))
+    if not (_GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau):
+        return None
     P, n = gram.shape[:2]
     eps = np.finfo(float).eps
     omega = np.random.default_rng(0).standard_normal((h.shape[2], _BLOCK))
@@ -293,7 +302,7 @@ def _block_pairs(h, gram, tau):
             w, theta, _ = np.linalg.svd(np.matmul(_conj_transpose(q), y), hermitian=True)
             sv = np.sqrt(theta)
             if (sv[:, -1] > tau).any():  # a lower bound: more than r eigenvalues exceed tau^2
-                return None
+                break
             kept = sv > tau
             v = np.matmul(q, w)
             res = np.linalg.norm(np.matmul(y, w) - v * theta[:, None, :], axis=1)
@@ -314,11 +323,12 @@ def _block_pairs(h, gram, tau):
             if not stay.all():
                 live, q, y, g = live[stay], q[stay], y[stay], None
                 if not live.size:
-                    return None
+                    break
             if g is None:
                 g = _rows(gram, live)
         q = np.linalg.qr(y)[0]
-    return None
+    u, lam, _ = np.linalg.svd(gram, hermitian=True)
+    return u, np.sqrt(lam)
 
 
 def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
@@ -329,31 +339,33 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     Each transform-domain slice H (H^H when tall) gives U and sigma with
     H H^H = U diag(sigma^2) U^H, and the result is
     U_k diag(max(sigma - tau, 0) / sigma) U_k^H H over the k leading columns
-    that hold some sigma_p > tau.  U and sigma come from the Hermitian Gram
-    G = H H^H of every slice, with one of three outcomes for the whole stack:
+    that hold some sigma_p > tau.  U and sigma come from one of two routines
+    for the whole stack:
 
-    - zero: each slice passes a Gershgorin screen (its largest absolute row
-      sum of G is at most tau^2), or the Cholesky of tau^2 I - G succeeds on
-      every slice that does not, so no sigma exceeds tau and the result is
-      exactly zero;
-    - certified block: the slices that fail the screen step a block of
-      ``_BLOCK`` Ritz pairs each, with a Rayleigh-Ritz check at step 1 and
-      every ``_BLOCK_CHECK`` steps after it.  A slice stops stepping, or
-      retires, once its kept pairs pass a residual bound of c n eps ||G||
-      and its first unkept pair is most likely below tau^2.  At each check
-      where every live slice's kept pairs pass, one inertia certificate over
-      the unscreened slices, each with its retired pairs, is tried; it
-      accepts the block or the steps go on (see :func:`_block_pairs`).  The
-      result is the exact Gram prox of a matrix within that bound of G, as
-      the factorization's own result is for a matrix within its backward
-      error;
-    - exact: one ``np.linalg.svd(G, hermitian=True)`` factors every slice.
-
-    The first two need a Gram of order >= 4 * ``_BLOCK``; below that, and
-    whenever the block declines, the exact outcome runs.  The Gram prox
-    agrees with the SVD prox to about eps * fmax^2 / tau (Golub & Van Loan
-    §8.6), where fmax = max_p ||H_p||_F; so when tau < 1e-6 * fmax, or the
-    Gram overflows or underflows, svt takes the thin SVD of H instead.
+    - Gram (see :func:`_gram_pairs`), when G = H H^H has order >= 4 *
+      ``_BLOCK``.  It has three outcomes:
+      - zero: each slice passes a Gershgorin screen (its largest absolute
+        row sum of G is at most tau^2), or the Cholesky of tau^2 I - G
+        succeeds on every slice that does not, so no sigma exceeds tau and
+        the result is exactly zero;
+      - certified block: the slices that fail the screen step a block of
+        ``_BLOCK`` Ritz pairs each, with a Rayleigh-Ritz check at step 1 and
+        every ``_BLOCK_CHECK`` steps after it.  A slice stops stepping, or
+        retires, once its kept pairs pass a residual bound of c n eps ||G||
+        and its first unkept pair is most likely below tau^2.  At each check
+        where every live slice's kept pairs pass, one inertia certificate
+        over the unscreened slices, each with its retired pairs, is tried;
+        it accepts the block or the steps go on.  The result is the exact
+        Gram prox of a matrix within that bound of G, as the
+        factorization's own result is for a matrix within its backward
+        error;
+      - whole Gram: when the block gives up, one
+        ``np.linalg.svd(G, hermitian=True)`` factors every slice.
+    - slice SVD: one thin ``np.linalg.svd(H)`` of every slice, with no Gram
+      formed, for Grams of order < 4 * ``_BLOCK``, and for unsafe ones.  The
+      Gram prox agrees with the SVD prox to about eps * fmax^2 / tau (Golub &
+      Van Loan §8.6), where fmax = max_p ||H_p||_F; so a Gram is unsafe when
+      tau < 1e-6 * fmax, or when it overflows or underflows.
     """
     if not (is_real(tau) and 0.0 <= tau):
         raise ParameterError(f"tau must be >= 0, got {tau!r}")
@@ -362,17 +374,8 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     def shrink(hat):
         tall = hat.shape[1] > hat.shape[2]
         h = _conj_transpose(hat) if tall else hat
-        gram = np.matmul(h, _conj_transpose(h))  # overflow is silenced by _slicewise
-        # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
-        fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max(initial=0.0))
-        if _GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau:
-            pairs = _block_pairs(h, gram, tau) if gram.shape[1] >= 4 * _BLOCK else None
-            if pairs is None:
-                u, lam, _ = np.linalg.svd(gram, hermitian=True)
-                pairs = u, np.sqrt(lam)
-            u, sv = pairs
-        else:
-            u, sv, _ = np.linalg.svd(h, full_matrices=False)
+        pairs = _gram_pairs(h, tau) if h.shape[1] >= 4 * _BLOCK else None
+        u, sv = pairs if pairs is not None else np.linalg.svd(h, full_matrices=False)[:2]
         k = int((sv > tau).sum(axis=1).max(initial=0))
         u, sv = u[:, :, :k], sv[:, :k]
         scale = np.divide(sv - tau, sv, out=np.zeros_like(sv), where=sv > tau)

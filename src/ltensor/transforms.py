@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .core import _NORM_MIN, _as_tensor, count_tuple, fro_norm, from_rep_stack, in_workspace, is_count, mode_n_product, num_rep, rep_block, scratch
+from .core import _NORM_MIN, _as_tensor, count_tuple, fro_norm, from_rep_stack, in_workspace, is_count, is_flag, mode_n_product, num_rep, rep_block, scratch
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
@@ -167,6 +167,8 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     if checked is None or len(checked) < 3:
         raise TransformError(f"transforms need order >= 3 and integer dims >= 0, got shape {shape}")
     shape = checked
+    if modes is not None and not np.iterable(modes):
+        raise TransformError(f"modes must be a sequence of integers, got {modes!r}")
     modes = tuple(range(3, len(shape) + 1) if modes is None else modes)
     for m in modes:
         if not (is_count(m, 3) and m <= len(shape)):
@@ -187,8 +189,8 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         return TransformSpec("fft", modes, sizes, float(np.prod(sizes)))
     if kind in _BUILDERS:
         matrices = {m: _BUILDERS[kind](n) for m, n in zip(modes, sizes)}
-    elif matrices is None:
-        raise TransformError("explicit kind requires per-mode matrices")
+    elif not isinstance(matrices, dict):
+        raise TransformError(f"explicit kind requires per-mode matrices as a dict, got {type(matrices).__name__}")
     try:
         mats = {m: _read_only(np.array(matrices[m])) for m in matrices}
     except ValueError as exc:  # a ragged nested sequence
@@ -288,8 +290,11 @@ def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite:
     unchanged unless ``overwrite`` hands it over: the result may then take
     its memory (fft transforms in place; the matrix kinds write their last
     mode product there when there are two or more), never workspace memory.
-    The result is a new array unless xhat was handed over.
+    The result is a new array unless xhat was handed over.  Both options are
+    bools, Python or numpy; anything else raises ``ParameterError``.
     """
+    if not (is_flag(assume_real) and is_flag(overwrite)):
+        raise ParameterError(f"assume_real and overwrite must be bools, got {assume_real!r} and {overwrite!r}")
     out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite)
     if assume_real and np.iscomplexobj(out):
         # ||out||^2 and ||Im out||^2 as two BLAS dots over the (re, im) float

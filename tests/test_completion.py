@@ -289,6 +289,24 @@ class TestConfig:
         with pytest.raises(ParameterError, match="unknown RSE denominator"):
             pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), cfg, ground_truth=np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None, np.array([True, False])], ids=str)
+    def test_validate_rejects_a_reimpose_observed_that_is_not_a_bool(self, flag):
+        # "false" reimposed the observed entries; an array leaked numpy's ValueError
+        cfg = CompletionConfig(spec=make_spec("fft", (2, 2, 2)), max_iters=2, reimpose_observed=flag)
+        with pytest.raises(ParameterError, match="reimpose_observed must be a bool"):
+            pga_complete(np.ones((2, 2, 2)), np.ones((2, 2, 2), bool), cfg)
+
+    def test_a_numpy_bool_reimpose_observed_passes(self):
+        CompletionConfig(spec=make_spec("fft", (2, 2, 2)), reimpose_observed=np.bool_(True)).validate()
+
+    @pytest.mark.parametrize("denominator", [np.array([1, 2]), np.array(["obtained", "x"]), ["obtained"], None, 1],
+                             ids=str)
+    def test_validate_rejects_an_rse_denominator_that_is_not_a_choice(self, denominator):
+        # an array leaked numpy's "truth value ... is ambiguous" ValueError
+        cfg = CompletionConfig(spec=make_spec("fft", (2, 2, 2)), rse_denominator=denominator)
+        with pytest.raises(ParameterError, match="unknown RSE denominator"):
+            cfg.validate()
+
     def test_validate_rejects_a_spec_that_is_not_a_transform_spec(self):
         # escaped as AttributeError from require_unitary
         for spec in (None, "fft"):
@@ -368,18 +386,26 @@ class TestPgaComplete:
         m, spec = low_rank((40, 44, 3, 4), 2, 5, kind)
         mask = sample_mask(m.shape, 0.5, 5)
         cfg = CompletionConfig(spec=spec, max_iters=100)
-        block_pairs, accepted = ltensor.linalg._block_pairs, []
+        gram_pairs, accepted, svd = ltensor.linalg._gram_pairs, [], np.linalg.svd
+        factored = []  # the order of every stack a hermitian svd factors: 6 for a Ritz check, 40 for the Gram
 
-        def recording(h, gram, tau):
-            pairs = block_pairs(h, gram, tau)
+        def recording(h, tau):
+            pairs = gram_pairs(h, tau)
             accepted.append(pairs is not None)
             return pairs
 
-        monkeypatch.setattr(ltensor.linalg, "_block_pairs", recording)
+        def recording_svd(x, **kwargs):
+            if kwargs.get("hermitian"):
+                factored.append(x.shape[1])
+            return svd(x, **kwargs)
+
+        monkeypatch.setattr(ltensor.linalg, "_gram_pairs", recording)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         x, trace = pga_complete(m, mask, cfg)
-        monkeypatch.setattr(ltensor.linalg, "_block_pairs", lambda h, gram, tau: None)
+        monkeypatch.setattr(ltensor.linalg, "_gram_pairs", lambda h, tau: None)  # the slice SVD
         x_exact, trace_exact = pga_complete(m, mask, cfg)
         assert trace.status == "converged" and all(accepted) and len(accepted) == trace.iterations
+        assert set(factored) <= {ltensor.linalg._BLOCK}  # the block was certified, never the whole Gram factored
         assert trace.iterations == trace_exact.iterations
         assert np.abs(x - x_exact).max() <= 1e-12 * np.abs(x_exact).max()
 

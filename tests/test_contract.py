@@ -9,7 +9,8 @@ A function that takes dims gets each hostile count both inside a dims tuple
 and as the whole dims argument.
 
 Every real parameter (a threshold, tolerance or ratio) must refuse each
-hostile real, and every name with a ``spec`` parameter each hostile spec,
+hostile real, every flag each hostile bool, every choice among strings each
+hostile choice, and every name with a ``spec`` parameter each hostile spec,
 with ``ParameterError``; ``make_spec`` must refuse each hostile kind.
 """
 
@@ -161,6 +162,24 @@ REAL_ROWS = [
     ("svt", lambda r: svt(Y, r, SPEC)),
 ]
 
+BOOLS = {"None": None, "str": "no", "int": 1, "float": 0.0, "array": np.array([True, False])}
+
+# (name, call): each call takes the hostile bool; CompletionConfig's
+# reimpose_observed is tested in tests/test_completion.py
+BOOL_ROWS = [
+    ("apply_l_inv", lambda b: apply_l_inv(Y, SPEC, assume_real=b)),
+    ("apply_l_inv", lambda b: apply_l_inv(Y, SPEC, overwrite=b)),
+]
+
+CHOICES = {"None": None, "int": 1, "list": ["obtained"], "bytes": b"obtained", "unknown": "Obtained",
+           "array": np.array(["obtained", "x"])}
+
+# (name, call): each call takes the hostile choice; CompletionConfig's
+# rse_denominator is tested in tests/test_completion.py
+CHOICE_ROWS = [
+    ("rse", lambda c: rse(Y, Y, denominator=c)),
+]
+
 SPECS = {"None": None, "str": "fft", "int": 3, "list": []}
 _F = ltensor.t_svd(Y, SPEC)
 
@@ -237,6 +256,20 @@ def test_hostile_count_is_refused_with_an_ltensor_error(call, count):
 @pytest.mark.parametrize("call", [c for _, c in REAL_ROWS], ids=_ids(REAL_ROWS))
 def test_hostile_real_is_refused_with_a_parameter_error(call, real):
     assert isinstance(_outcome(call, REALS[real]), ParameterError)
+
+
+@pytest.mark.parametrize("flag", BOOLS, ids=str)
+@pytest.mark.parametrize("call", [c for _, c in BOOL_ROWS], ids=_ids(BOOL_ROWS))
+def test_hostile_bool_is_refused_with_a_parameter_error(call, flag):
+    # "no" counted as True
+    assert isinstance(_outcome(call, BOOLS[flag]), ParameterError)
+
+
+@pytest.mark.parametrize("choice", CHOICES, ids=str)
+@pytest.mark.parametrize("call", [c for _, c in CHOICE_ROWS], ids=_ids(CHOICE_ROWS))
+def test_hostile_choice_is_refused_with_a_parameter_error(call, choice):
+    # an array leaked numpy's "truth value ... is ambiguous" ValueError
+    assert isinstance(_outcome(call, CHOICES[choice]), ParameterError)
 
 
 def test_spec_table_covers_every_name_with_a_spec_parameter():

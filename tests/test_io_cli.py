@@ -440,6 +440,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "NaN or inf" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [
+            ("tsvd", ["--out-u", "u.tlt", "--out-s", "s.tlt", "--out-v", "v.tlt"]),
+            ("svt", ["--tau", "1", "--out", "o.tlt"]),
+        ],
+    )
+    def test_lapack_failure_exit_2(self, tmp_path, capsys, monkeypatch, command, outputs):
+        # main is the one place LAPACK non-convergence becomes an exit code
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.chdir(tmp_path)
+        write_container("a.tlt", np.ones((3, 3, 2)))
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert main([command, "--input", "a.tlt", "--transform", "dct"] + outputs) == 2
+        err = capsys.readouterr().err
+        assert err == "error: SVD did not converge\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tlt"]
+
     @pytest.mark.parametrize("kind", ["fft", "cprod"])
     def test_product_on_nan_exit_2(self, tmp_path, capsys, monkeypatch, kind):
         # l_product returned NaN silently and wrote it out

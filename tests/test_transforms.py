@@ -476,6 +476,10 @@ class TestSpecConstruction:
             ("cprod", (2, 2, 3), None, {3: np.eye(3)}, "only for kind 'explicit'"),
             ("fft", (2, 2, 0), None, None, "transformed mode 3 has size 0"),
             ("cprod", (2, 2, 3, 0), (4,), None, "transformed mode 4 has size 0"),
+            # these three leaked TypeError from iterating the container
+            ("fft", (4, 5, 3), 3, None, "modes must be a sequence of integers"),
+            ("explicit", (4, 5, 3), None, [np.eye(3)], "per-mode matrices as a dict, got list"),
+            ("explicit", (4, 5, 3), None, 3, "per-mode matrices as a dict, got int"),
         ],
     )
     def test_make_spec_rejects(self, kind, shape, modes, matrices, message):
