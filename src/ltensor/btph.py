@@ -9,7 +9,6 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .core import _as_array, as_rep_stack, count_tuple, num_rep, product_operands
 from .errors import OracleScaleError, ParameterError, ShapeError, StructureError
@@ -108,7 +107,11 @@ def _ten_rec(m, dims):
 
 def bdiag(xhat) -> np.ndarray:
     """Block-diagonal matrix with the representative matrices on the diagonal."""
-    return scipy.linalg.block_diag(*as_rep_stack(xhat))
+    stack = as_rep_stack(xhat)
+    P, m, n = stack.shape
+    out = np.zeros((P, m, P, n), stack.dtype)
+    out[np.arange(P), :, np.arange(P)] = stack
+    return out.reshape(P * m, P * n)
 
 
 def check_diagonalization(x, spec: TransformSpec) -> float:

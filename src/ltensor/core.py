@@ -19,11 +19,12 @@ returns a tensor in this order.
 Workspace: :func:`scratch` hands out per-thread buffers by role for
 intermediates that live and die inside one *_L op, so repeat calls reuse
 memory instead of mapping and faulting fresh pages.  Under every kind these
-are a transform's rep-order copy of its input (made when the input is not in
-rep order, or when it must be promoted to double precision) and
-:func:`ltensor.linalg.l_product`'s facewise product; under the matrix kinds
-(every kind but fft) also every mode product but the last and each operand's
-L-domain stack.  fft results are scipy.fft's own arrays.  A role's buffer
+are each operand's L-domain stack and :func:`ltensor.linalg.l_product`'s
+facewise product; under the matrix kinds (every kind but fft) also a
+transform's rep-order copy of its input (made when the input is not in rep
+order, or when it must be promoted to double precision) and every mode
+product but the last.  fft copies its input straight into the result's place
+and transforms it there.  A role's buffer
 grows to its largest request and is kept for the thread's lifetime; the
 buffers of one thread hold at most ``WORKSPACE_CAP`` bytes, and a request past
 that cap, or for role None, is a fresh array.  No public function returns

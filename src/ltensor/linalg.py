@@ -36,16 +36,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _as_tensor, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_real, num_rep, product_operands, scratch
+from .core import _NORM_MIN, _as_tensor, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_real, num_rep, product_operands, scratch
 from .errors import ParameterError, ShapeError
 from .transforms import TransformSpec, apply_l, apply_l_inv, check_spec
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 
-# svt's Gram routine needs tau >= 1e-6 * fmax (see svt) and fmax^2 >= tiny / eps,
+# svt's Gram routine needs tau >= 1e-6 * fmax (see svt), and fmax >= core._NORM_MIN,
 # below which the Gram's entries lose accuracy to underflow.
 _GRAM_MIN_TAU = 1e-6
-_GRAM_MIN_F2 = np.finfo(float).tiny / np.finfo(float).eps
 
 # svt's block prox (see _gram_pairs): the block width r, used on Grams of
 # order >= 4 r; its most block steps; the steps from one Rayleigh-Ritz check to
@@ -59,7 +58,7 @@ _BLOCK_RESIDUAL = 4.0
 def _forward(a, spec, slot=0):
     """L(a) as a (P, I_1, I_2) stack, the one way into the L-domain.  The transform
     refuses NaN and inf input and overflow, so inf never reaches LAPACK's SVD (it hung).
-    The stack lives in workspace role ``("forward", slot)`` under the matrix kinds."""
+    The stack lives in workspace role ``("forward", slot)``."""
     return as_rep_stack(apply_l(a, spec, _scratch=("forward", slot)))
 
 
@@ -283,7 +282,7 @@ def _gram_pairs(h, tau):
     gram = np.matmul(h, _conj_transpose(h))  # overflow is silenced by _slicewise
     # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
     fmax2 = float(np.trace(gram, axis1=1, axis2=2).real.max(initial=0.0))
-    if not (_GRAM_MIN_F2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau):
+    if not (_NORM_MIN**2 <= fmax2 < np.inf and _GRAM_MIN_TAU * np.sqrt(fmax2) <= tau):
         return None
     P, n = gram.shape[:2]
     eps = np.finfo(float).eps

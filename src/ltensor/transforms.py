@@ -21,8 +21,10 @@ Every transform runs on the rep-stack block array, the one view
 :func:`ltensor.core.rep_block`; its memory order and the workspace are
 described in :mod:`ltensor.core`.  Each step writes where
 :func:`ltensor.core.scratch` puts it: a workspace role, or a fresh array for
-role None.  fft transforms all its modes in one multi-axis ``scipy.fft``
-call (``fftn``/``ifftn``): a dense complex DFT costs about 4x a real one.
+role None.  fft transforms all its modes in one in-place multi-axis
+``numpy.fft`` call (``fftn``/``ifftn`` with ``out=`` the block): on the
+input itself when it is handed over, else on a complex128 copy made in the
+result's place.  A dense complex DFT costs about 4x a real one.
 The matrix kinds, dct included, take one :func:`ltensor.core.mode_n_product`
 per mode.  Every kind works in double precision (complex when L or the input
 is), so a spec with no transformed modes also returns float64 for integer,
@@ -44,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .core import _NORM_MIN, _as_tensor, count_tuple, fro_norm, from_rep_stack, in_workspace, is_count, is_flag, mode_n_product, num_rep, rep_block, scratch
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
@@ -97,7 +98,7 @@ class TransformSpec:
 
     Immutable: fields cannot be reassigned, and :func:`make_spec` stores every
     matrix and inverse a spec holds, read-only.  fft stores none: its
-    transforms run on ``scipy.fft``, and :meth:`mode_matrix` and
+    transforms run on ``numpy.fft``, and :meth:`mode_matrix` and
     :meth:`mode_inverse` build its (read-only) pair on each call.
     """
 
@@ -235,20 +236,22 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
                 f"with sizes {spec.sizes}"
             )
     block = rep_block(x)  # mode m is its axis N - m
-    # L is computed in double precision under every kind (scipy.fft would keep single)
-    dtype = np.promote_types(x.dtype, np.float64)
-    if not (spec.modes and block.flags.c_contiguous and block.dtype == dtype):
-        # with no modes L is the identity, and this copy is the result
-        copy = scratch(_STEPS[1] if spec.modes else role, block.shape, dtype)
+    fft = spec.kind == "fft" and bool(spec.modes)
+    # L is computed in double precision under every kind, and fft in complex
+    dtype = np.promote_types(x.dtype, np.complex128 if fft else np.float64)
+    ready = spec.modes and block.flags.c_contiguous and block.dtype == dtype
+    # the result may take the memory of an input handed over, never the workspace's
+    owned = block if ready and overwrite and block.flags.writeable and not in_workspace(block) else None
+    if not ready or fft and owned is None:
+        # fft transforms this copy in place; with no modes L is the identity, and it is the result
+        copy = scratch(_STEPS[1] if spec.modes and not fft else role, block.shape, dtype)
         np.copyto(copy, block)
         block = copy
-    # the result may take the memory of an input handed over, never the workspace's
-    owned = block if overwrite and block.flags.writeable and not in_workspace(block) else None
-    # an overflow gives inf without a warning (scipy.fft warns about nothing, and
-    # mode_n_product silences its own), and the finiteness pass below refuses it
-    if spec.kind == "fft" and spec.modes:  # one multi-axis scipy.fft call
-        fft = scipy.fft.ifftn if inverse else scipy.fft.fftn
-        block = fft(block, axes=[x.ndim - m for m in spec.modes], overwrite_x=owned is not None)
+    if fft:  # one in-place multi-axis numpy.fft call
+        # numpy's fft warns on an overflow to inf or NaN (mode_n_product silences
+        # its own), and the finiteness pass below refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = (np.fft.ifftn if inverse else np.fft.fftn)(block, axes=[x.ndim - m for m in spec.modes], out=block)
     else:
         modes = tuple(reversed(spec.modes)) if inverse else spec.modes
         for i, mode in enumerate(modes):
@@ -273,9 +276,9 @@ def apply_l(x, spec: TransformSpec, *, _scratch=None) -> np.ndarray:
 
     Raises ``ParameterError`` when the result holds NaN or inf: a non-finite
     input or an overflow.  The result is a new array.  ``_scratch`` is
-    internal: a workspace role that receives the matrix kinds' last product
-    (with no transformed modes, any kind's copy) instead, for a caller whose
-    stack dies inside its own op.
+    internal: a workspace role that receives the result instead (the matrix
+    kinds' last product, fft's transformed copy, or with no transformed modes
+    any kind's copy), for a caller whose stack dies inside its own op.
     """
     return _mode_loop(x, spec, inverse=False, role=_scratch)
 

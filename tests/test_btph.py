@@ -93,6 +93,18 @@ class TestBdiag:
         expected[2:, 2:] = x[:, :, 1]
         np.testing.assert_allclose(bdiag(x), expected)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 0), (2, 3, 2, 2)])
+    def test_complex_stack_matches_a_per_block_loop(self, rng, shape):
+        # a stack with no slices gives (0, 0); scipy's block_diag() of no blocks gave (1, 0)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack = as_rep_stack(x)
+        expected = np.zeros((2 * len(stack), 3 * len(stack)), complex)
+        for p, block in enumerate(stack):
+            expected[2 * p : 2 * p + 2, 3 * p : 3 * p + 3] = block
+        m = bdiag(x)
+        assert m.dtype == complex and m.shape == expected.shape
+        np.testing.assert_array_equal(m, expected)
+
 
 class TestDiagonalization:
     def test_scalar_tensor(self, rng):

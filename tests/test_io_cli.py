@@ -505,6 +505,28 @@ class TestCli:
         assert done.returncode == 2
         assert "NaN or inf" in done.stderr and "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_complete_loads_no_scipy(self, tmp_path, kind):
+        # importing scipy.fft took ~0.35 s of every fresh CLI call
+        write_container(tmp_path / "m.tlt", np.ones((4, 5, 3)))
+        write_container(tmp_path / "k.tlt", sample_mask((4, 5, 3), 0.5, 1))
+        script = (
+            "import sys\n"
+            "from ltensor.cli import main\n"
+            f"code = main(['complete', '--input', 'm.tlt', '--mask', 'k.tlt', '--transform', '{kind}',"
+            " '--max-iters', '5', '--out', 'o.tlt'])\n"
+            "print('scipy modules:', sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "sys.exit(code)\n"
+        )
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "scipy modules: []" in done.stdout
+        assert (tmp_path / "o.tlt").exists()
+
     @pytest.mark.parametrize("mask_dtype", [np.float64, np.float32])
     def test_complete_rejects_a_probability_mask_exit_2(self, tmp_path, capsys, mask_dtype):
         # every nonzero entry counted as observed, and the solve exited 0

@@ -184,7 +184,7 @@ class TestApplyL:
         [((2, 3, 4, 1, 3), (3, 5)), ((2, 3, 4, 1, 3), (4, 5)), ((3, 2, 2, 3, 2), None), ((2, 2, 1, 3), (3,))],
     )
     def test_fast_kinds_match_their_matrices_on_mode_subsets(self, shape, modes, rng):
-        # one multi-axis scipy.fft call against one tensordot per mode with the DFT matrix;
+        # one multi-axis numpy.fft call against one tensordot per mode with the DFT matrix;
         # dct runs on its matrices and is checked against scipy in test_dct_matches_scipy_on_mode_subsets
         spec = make_spec("fft", shape, modes=modes)
         x = rng.standard_normal(shape)
@@ -238,9 +238,10 @@ class TestApplyL:
         owned = apply_l_inv(xhat, spec, assume_real=assume_real and kind != "explicit", overwrite=True)
         np.testing.assert_array_equal(owned, out)
 
-    @pytest.mark.parametrize("kind", ["dct", "cprod", "explicit"])
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
     def test_matrix_kinds_write_the_last_product_into_a_handed_over_input(self, kind, rng):
-        # as fft transforms in place: a fresh result per inverse made a dct solve take 5x the page faults
+        # fft transforms in place, the matrix kinds write their last product there: a fresh
+        # result per inverse made a dct solve take 5x the page faults
         shape = (3, 4, 2, 3)
         spec = _spec_of_kind(kind, shape, rng)
         xhat = apply_l(rng.standard_normal(shape), spec)
@@ -261,7 +262,7 @@ class TestApplyL:
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_single_precision_is_transformed_in_double(self, kind, rng):
-        # scipy.fft keeps float32; its imaginary residual (~1e-8) would fail the 1e-9 check
+        # numpy.fft keeps float32; its imaginary residual (~1e-8) would fail the 1e-9 check
         x = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
         spec = make_spec(kind, x.shape)
         xhat = apply_l(x, spec)

@@ -113,11 +113,11 @@ class TestResults:
             l_product(a, a, spec)
             return set(core._buffers())
 
-        # a is in C order, so every kind copies it into transforms.step1; fft
-        # results are scipy.fft's own arrays
-        expected = {"facewise", "transforms.step1"}
+        # a is in C order, so the matrix kinds copy it into transforms.step1;
+        # fft copies it straight into each operand's L-domain stack
+        expected = {"facewise", ("forward", 0), ("forward", 1)}
         if spec.kind != "fft":
-            expected |= {("forward", 0), ("forward", 1), "transforms.step0"}
+            expected |= {"transforms.step0", "transforms.step1"}
         assert _run_in_thread(roles) == expected
 
 
