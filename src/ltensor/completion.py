@@ -240,8 +240,9 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
     if ground_truth is not None:
         m, ground_truth = same_shape(m, _real_finite(ground_truth, "ground truth"))
     m, mask = (from_rep_stack(as_rep_stack(t), t.shape[2:]) for t in (m, mask))
-    mu0 = cfg.nu * fro_norm(m) if cfg.mu0 is None else float(cfg.mu0)
-    mu_bar = cfg.mu_bar_ratio * mu0
+    nu = float(cfg.nu)  # a numpy scalar would reach the trace CSV as its repr
+    mu0 = nu * fro_norm(m) if cfg.mu0 is None else float(cfg.mu0)
+    mu_bar = float(cfg.mu_bar_ratio) * mu0
 
     x_prev = np.zeros_like(m)
     x_cur = np.zeros_like(m)
@@ -249,7 +250,7 @@ def pga_complete(m, mask, cfg: CompletionConfig, ground_truth=None):
     trace = CompletionTrace()
 
     for k in range(1, cfg.max_iters + 1):
-        mu_k = max(cfg.nu**k * mu0, mu_bar)
+        mu_k = max(nu**k * mu0, mu_bar)
         # y = x_cur + ((t_prev - 1) / t_cur) (x_cur - x_prev), written over x_prev, its last use
         y = np.subtract(x_cur, x_prev, out=x_prev)
         y *= (t_prev - 1.0) / t_cur

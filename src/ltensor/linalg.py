@@ -14,17 +14,10 @@ contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
 complex and so may its outputs.  A zero-size first or second dim gives the
 empty result.
 
-:func:`svt` takes each slice's (U, sigma) from one of two routines.  When
-the slice's Gram matrix G = H H^H has order >= 4 * ``_BLOCK``,
-:func:`_gram_pairs` forms G and, unless the Gram is unsafe (``tau < 1e-6 *
-max_p ||H_p||_F``, or overflow or underflow), screens out the slices whose
-Gershgorin bound is at most tau^2 and steps a block of ``_BLOCK`` Ritz pairs
-on the others, checking them every ``_BLOCK_CHECK`` steps until each
-converges and retires.  At each check where the live slices have converged
-it tries one Cholesky over the unscreened slices, which certifies them all,
-or proves the result zero; if that fails they step on.  When the block
-cannot be certified it factors the whole Gram.  Smaller slices, and unsafe
-Grams, take the thin SVD of every slice.
+:func:`svt` takes each slice's (U, sigma) from one of two routines: the
+Gram routine :func:`_gram_pairs`, which certifies a block of Ritz pairs of
+G = H H^H slice by slice, when G has order >= 4 * ``_BLOCK``; and the thin
+SVD of every slice, for smaller slices and for Grams that are unsafe.
 :func:`t_svd`, :func:`ranks`, :func:`spectral_norm` and :func:`nuclear_norm`
 need the small singular values, which squaring would lose, and stay on the
 direct SVD.
@@ -199,6 +192,8 @@ def t_svd(a, spec: TransformSpec) -> LFactors:
 
 def truncate(f: LFactors, k: int) -> np.ndarray:
     """Rank-k Eckart-Young truncation u(:,1:k) *_L s(1:k,1:k) *_L v(:,1:k)^T."""
+    if not isinstance(f, LFactors):
+        raise ParameterError(f"truncate needs the LFactors of t_svd, got {type(f).__name__}")
     uk, sk, vk = f.leading(k)
     return l_product(l_product(uk, sk, f.spec), l_transpose(vk, f.spec), f.spec)
 
@@ -232,17 +227,28 @@ def _rows(stack, rows):
     return stack if len(rows) == len(stack) else stack[rows]
 
 
-def _certified(gram, rows, v, theta, tau):
-    """Whether the Cholesky of tau^2 I - G + V diag(theta) V^H succeeds on every slice in rows."""
-    cert = np.matmul(v * theta[:, None, :], _conj_transpose(v))
-    cert -= _rows(gram, rows)
-    idx = np.arange(gram.shape[1])
-    cert[:, idx, idx] += tau * tau
+def _positive_definite(x):
+    """Whether np.linalg.cholesky factors every slice of x."""
     try:
-        np.linalg.cholesky(cert)
+        np.linalg.cholesky(x)
     except np.linalg.LinAlgError:  # not positive definite: the certificate's "no"
         return False
     return True
+
+
+def _certified(g, v, theta, tau):
+    """Whether the Cholesky of tau^2 I - G + V diag(theta) V^H succeeds, one bool per slice.
+
+    One batched call answers for the whole stack; only when it fails is each
+    slice factored alone, to tell which ones failed.
+    """
+    cert = np.matmul(v * theta[:, None, :], _conj_transpose(v))
+    cert -= g
+    idx = np.arange(g.shape[1])
+    cert[:, idx, idx] += tau * tau
+    if _positive_definite(cert):
+        return np.ones(len(cert), dtype=bool)
+    return np.array([_positive_definite(c) for c in cert], dtype=bool)
 
 
 def _gram_pairs(h, tau):
@@ -259,25 +265,17 @@ def _gram_pairs(h, tau):
     orth(G Q).  A Rayleigh-Ritz check factors the (L, r, r) stack Q^H G Q of
     the L live slices at step 1 and every _BLOCK_CHECK steps after it.  It
     keeps the Ritz pairs (v, theta) with sigma = sqrt(theta) > tau.  A live
-    slice retires, and takes no more steps, when
-    - each kept pair has ||G v - theta v|| <= c n eps theta_1, so G is within
-      rounding of a G~ with these exact eigenpairs, and
-    - its first unkept pair (theta, r) has theta + r max(1, r / (theta -
-      theta')) < tau^2, theta' the next Ritz value (0 past the block).  If
-      the pair's vector is c x + s z, x an eigenvector of eigenvalue lambda
-      and z of Rayleigh quotient mu, then lambda = theta + r^2 / (theta - mu),
-      and theta' stands in for mu; so the slice's next eigenvalue is most
-      likely below tau^2, which the certificate then proves.
-    At every check where each live slice passes the first test, one Cholesky
-    of tau^2 I - G + V_k Theta_k V_k^H is tried over the unscreened slices,
-    with each retired slice's pairs.  If it succeeds, then by Sylvester's law
-    of inertia no G~ has another eigenvalue above tau^2, and the block is
-    accepted; with nothing kept it proves the prox zero.  If it fails, the
-    steps go on.  The block gives up, and one ``np.linalg.svd(G,
-    hermitian=True)`` factors the whole Gram, when an r-th Ritz value exceeds
-    tau^2 (Ritz values are lower bounds, so more than r eigenvalues do), when
-    every slice retired and the certificate failed, or after
-    _BLOCK_MAX_STEPS steps.
+    slice has converged when each kept pair has ||G v - theta v|| <= c n eps
+    theta_1, so G is within rounding of a G~ with these exact eigenpairs.
+    Each converged slice then tries its own Cholesky of tau^2 I - G + V_k
+    Theta_k V_k^H (see :func:`_certified`).  If it succeeds, then by
+    Sylvester's law of inertia no G~ has another eigenvalue above tau^2, and
+    the slice keeps its pairs and leaves the live set; with nothing kept its
+    prox is proved zero.  If it fails, the slice steps on.  The block is
+    accepted once no slice is live.  It gives up, and one
+    ``np.linalg.svd(G, hermitian=True)`` factors the whole Gram, when an r-th
+    Ritz value exceeds tau^2 (Ritz values are lower bounds, so more than r
+    eigenvalues do), or after _BLOCK_MAX_STEPS steps.
     """
     gram = np.matmul(h, _conj_transpose(h))  # overflow is silenced by _slicewise
     # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
@@ -287,13 +285,12 @@ def _gram_pairs(h, tau):
     P, n = gram.shape[:2]
     eps = np.finfo(float).eps
     omega = np.random.default_rng(0).standard_normal((h.shape[2], _BLOCK))
-    u = np.zeros((P, n, _BLOCK), dtype=np.result_type(h, omega))  # each slice's pairs at its last check
+    u = np.zeros((P, n, _BLOCK), dtype=np.result_type(h, omega))  # each certified slice's pairs
     lam = np.zeros((P, _BLOCK))  # their kept Ritz values, 0 where unkept
-    unscreened = np.flatnonzero(np.abs(gram).sum(axis=2).max(axis=1) * (1.0 + 2.0 * n * eps) > tau * tau)
-    if not unscreened.size:
+    live = np.flatnonzero(np.abs(gram).sum(axis=2).max(axis=1) * (1.0 + 2.0 * n * eps) > tau * tau)
+    if not live.size:
         return u[:, :, :0], lam[:, :0]
-    live = unscreened
-    q = np.linalg.qr(np.matmul(h, omega)[live])[0]
+    q = np.linalg.qr(np.matmul(_rows(h, live), omega))[0]
     g = _rows(gram, live)  # the live slices' Gram
     for step in range(_BLOCK_MAX_STEPS):
         y = np.matmul(g, q)
@@ -305,26 +302,16 @@ def _gram_pairs(h, tau):
             kept = sv > tau
             v = np.matmul(q, w)
             res = np.linalg.norm(np.matmul(y, w) - v * theta[:, None, :], axis=1)
-            # each live slice's largest kept residual over its bound
-            bound = _BLOCK_RESIDUAL * n * eps * theta[:, :1]
-            worst = np.divide(res, bound, out=np.zeros_like(res), where=kept).max(axis=1)
-            u[live], lam[live] = v, np.where(kept, theta, 0.0)
-            if worst.max() <= 1.0:
-                k = int(np.count_nonzero(lam, axis=1).max())
-                g = None  # freed before the certificate's two Gram-sized stacks
-                if _certified(gram, unscreened, u[unscreened, :, :k], lam[unscreened, :k], tau):
-                    return u[:, :, :k], np.sqrt(lam[:, :k])
-            first = kept.sum(axis=1)[:, None]  # the first unkept pair (t1, r1), then t2 = theta'
-            t1, r1 = np.take_along_axis(theta, first, axis=1)[:, 0], np.take_along_axis(res, first, axis=1)[:, 0]
-            t2 = np.take_along_axis(np.pad(theta, ((0, 0), (0, 1))), first + 1, axis=1)[:, 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                stay = (worst > 1.0) | (t1 + r1 * np.fmax(1.0, r1 / (t1 - t2)) >= tau * tau)
-            if not stay.all():
-                live, q, y, g = live[stay], q[stay], y[stay], None
+            done = np.flatnonzero((~kept | (res <= _BLOCK_RESIDUAL * n * eps * theta[:, :1])).all(axis=1))
+            if done.size:  # the converged slices; those that pass their certificate leave
+                theta = np.where(kept, theta, 0.0)
+                done = done[_certified(_rows(g, done), v[done], theta[done], tau)]
+                u[live[done]], lam[live[done]] = v[done], theta[done]
+                stay = np.delete(np.arange(live.size), done)
+                live, q, y, g = live[stay], q[stay], y[stay], _rows(g, stay)
                 if not live.size:
-                    break
-            if g is None:
-                g = _rows(gram, live)
+                    k = int(np.count_nonzero(lam, axis=1).max())
+                    return u[:, :, :k], np.sqrt(lam[:, :k])
         q = np.linalg.qr(y)[0]
     u, lam, _ = np.linalg.svd(gram, hermitian=True)
     return u, np.sqrt(lam)
@@ -341,23 +328,15 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     that hold some sigma_p > tau.  U and sigma come from one of two routines
     for the whole stack:
 
-    - Gram (see :func:`_gram_pairs`), when G = H H^H has order >= 4 *
-      ``_BLOCK``.  It has three outcomes:
-      - zero: each slice passes a Gershgorin screen (its largest absolute
-        row sum of G is at most tau^2), or the Cholesky of tau^2 I - G
-        succeeds on every slice that does not, so no sigma exceeds tau and
-        the result is exactly zero;
-      - certified block: the slices that fail the screen step a block of
-        ``_BLOCK`` Ritz pairs each, with a Rayleigh-Ritz check at step 1 and
-        every ``_BLOCK_CHECK`` steps after it.  A slice stops stepping, or
-        retires, once its kept pairs pass a residual bound of c n eps ||G||
-        and its first unkept pair is most likely below tau^2.  At each check
-        where every live slice's kept pairs pass, one inertia certificate
-        over the unscreened slices, each with its retired pairs, is tried;
-        it accepts the block or the steps go on.  The result is the exact
-        Gram prox of a matrix within that bound of G, as the
-        factorization's own result is for a matrix within its backward
-        error;
+    - Gram, when G = H H^H has order >= 4 * ``_BLOCK``; :func:`_gram_pairs`
+      sets out its protocol.  It has three outcomes:
+      - zero: a slice that passes the Gershgorin screen, or whose inertia
+        certificate with no pair kept succeeds, has no sigma above tau;
+      - certified block: every other slice keeps up to ``_BLOCK`` Ritz
+        pairs once they pass a residual bound of c n eps ||G|| and its own
+        inertia certificate.  The result is the exact Gram prox of a matrix
+        within that bound of G, as the factorization's own result is for a
+        matrix within its backward error;
       - whole Gram: when the block gives up, one
         ``np.linalg.svd(G, hermitian=True)`` factors every slice.
     - slice SVD: one thin ``np.linalg.svd(H)`` of every slice, with no Gram

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -587,3 +588,16 @@ class TestTraceCsv:
         assert lines[1].split(",")[0] == "1"
         assert float(lines[1].split(",")[1]) == 0.5
         assert lines[2].endswith(",,")
+
+    def test_numpy_scalar_settings_write_plain_numbers(self, tmp_path):
+        # a numpy scalar nu or mu_bar_ratio wrote "np.float64(...)" into the mu column
+        m, spec = low_rank((6, 5, 3), 2, 1)
+        cfg = CompletionConfig(spec=spec, nu=np.float64(0.5), mu_bar_ratio=np.float64(0.1), tol=1e-12, max_iters=8)
+        _, trace = pga_complete(m, sample_mask(m.shape, 0.6, 1), cfg, ground_truth=m)
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 8 and trace.records[-1].mu == trace.records[-2].mu  # mu_bar won the max
+        for cell in (cell for row in rows for cell in row if cell):
+            float(cell)

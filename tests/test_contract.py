@@ -123,6 +123,7 @@ ARRAY_ROWS = [
     ("spectral_norm", lambda x, d: spectral_norm(x, SPEC)),
     ("svt", lambda x, d: svt(x, 0.5, SPEC)),
     ("t_svd", lambda x, d: t_svd(x, SPEC)),
+    ("truncate", lambda x, d: truncate(x, 1)),
     ("write_container", lambda x, d: write_container(d / "x.tlt", x)),
 ]
 

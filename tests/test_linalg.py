@@ -611,9 +611,9 @@ class TestSvtBlock:
     R = ltensor.linalg._BLOCK
     CHECK = ltensor.linalg._BLOCK_CHECK
     SHAPES = {"tall": (30, 26, 2, 2), "wide": (26, 30, 2, 2)}
-    # sigma_1 = 5 converges fast and is kept; the rest sit just below tau, so the
-    # first unkept pair converges slowly and its slice stays live after the kept
-    # pair passes its residual test (at the 5th check)
+    # sigma_1 = 5 is kept; the rest sit just below tau, so the block converges
+    # slowly and the slice stays live for several checks before its kept pair
+    # passes the residual test and its own certificate
     SLOW = np.r_[5.0, np.linspace(0.999, 0.9, 25)]
     SPECTRA = {
         "rank2": [5.0, 2.0],
@@ -697,13 +697,47 @@ class TestSvtBlock:
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_a_failed_certificate_keeps_stepping(self, rng, kind, monkeypatch):
-        # the first certificate, with sigma_1's pair kept, is refused; the slices stay
-        # live, and a later check's certificate accepts the block
+        # the first certificate, the batched one with sigma_1's pair kept, is refused;
+        # each slice then takes its own, and no slice's failure reaches the Gram
+        # factorization
         a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), self.SLOW, False)
         calls = self._record(monkeypatch, refuse_first_cholesky=True)
         out = svt(a, 1.0, spec)
         assert [name for name, _ in calls].count("cholesky") >= 2
         assert ("svd", (4, 26, 26)) not in calls
+        monkeypatch.undo()
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_each_slice_is_certified_on_its_own(self, rng, kind, monkeypatch):
+        # the far slices pass the screen; the rank-2 slice is certified alone at the
+        # first check, the SLOW one alone at a later check
+        far = np.full(26, 0.01)
+        a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), [far, np.array([5.0, 2.0]), self.SLOW, far], False)
+        calls = self._record(monkeypatch)
+        out = svt(a, 1.0, spec)
+        assert [shape[0] for name, shape in calls if name == "cholesky"] == [1, 1]
+        monkeypatch.undo()
+        assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_a_slice_its_certificate_refuses_steps_on_alone(self, rng, kind, monkeypatch, hermitian_shapes):
+        # every slice converges at the first check.  The batched certificate is refused,
+        # so each slice is factored alone, and slice 1's own is refused too: the other
+        # three are certified there, and only slice 1 steps on to the next check
+        a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), np.array([5.0, 2.0]), False)
+        shapes, cholesky = [], np.linalg.cholesky
+
+        def refusing(x):
+            shapes.append(x.shape)
+            if len(shapes) in (1, 3):  # the batch, then slice 1 alone
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(x)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        out = svt(a, 1.0, spec)
+        assert shapes == [(4, 26, 26)] + [(26, 26)] * 4 + [(1, 26, 26)]
+        assert hermitian_shapes == [(4, self.R, self.R), (1, self.R, self.R)]
         monkeypatch.undo()
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
 
@@ -725,7 +759,7 @@ class TestSvtBlock:
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_screened_and_retired_slices_leave_the_ritz_stack(self, rng, kind, hermitian_shapes):
         # the two slices far below tau pass the Gershgorin screen and never enter the
-        # block; the rank-2 slice retires at the first check, the graded one steps on
+        # block; the rank-2 slice is certified at the first check, the graded one steps on
         far = np.full(26, 0.01)
         spectra = [far, np.array([5.0, 2.0]), np.logspace(1, -8, 26), far]
         a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), spectra, False)
@@ -739,10 +773,8 @@ class TestSvtBlock:
     @pytest.mark.parametrize("top", [1.03, 1.1])
     def test_a_value_the_first_check_underestimates_keeps_its_slice_live(self, rng, kind, top, hermitian_shapes):
         # sigma_1 just above tau over a floor at 0.5 tau: every slice's first Ritz value is
-        # below tau^2, so nothing is kept and the zero certificate fails.  Retired on their
-        # residual test alone, the slices would leave nothing to step, and svt would factor
-        # the Gram.  At 1.03 the first pair's theta + r is below tau^2 too; only its
-        # theta + r^2 / (theta - theta') keeps the slices live
+        # below tau^2, so nothing is kept and each slice's zero certificate fails.  The
+        # slices step on until sigma_1's pair surfaces and passes, with no Gram factorization
         a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), np.r_[top, np.full(25, 0.5)], False)
         hat = as_rep_stack(apply_l(a, spec))
         q = np.linalg.qr(hat @ np.random.default_rng(0).standard_normal((30, self.R)))[0]  # svt's first block
@@ -776,6 +808,26 @@ class TestSvtBlock:
         assert len(hermitian_shapes) > 50 and all(shape[1:] == (self.R, self.R) for shape in hermitian_shapes)
         g, tau, spec = latest
         assert fro_norm(svt(g, tau, spec) - _svd_prox(g, tau, spec)) <= 1e-12 * fro_norm(g)
+
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    def test_a_noisy_solve_factors_the_whole_gram_in_some_calls(self, kind, hermitian_shapes, monkeypatch):
+        # a 30x26x3x6 video plus N(0, 0.05^2) noise: 18 slices with Grams of order 26.  In
+        # some calls a slice holds more than R values above tau, or the step cap is
+        # reached, and the block gives up; every call must still match the SVD prox (~2 s)
+        dims = (30, 26, 3, 6)
+        m = np.clip(synthetic_video(dims) + 0.05 * np.random.default_rng(0).standard_normal(dims), 0.0, 1.0)
+        whole, prox = [], ltensor.completion.svt
+
+        def checked(g, tau, spec):
+            before = len(hermitian_shapes)
+            out = prox(g, tau, spec)
+            whole.append((18, 26, 26) in hermitian_shapes[before:])
+            assert fro_norm(out - _svd_prox(g, tau, spec)) <= 1e-12 * fro_norm(g)
+            return out
+
+        monkeypatch.setattr(ltensor.completion, "svt", checked)
+        pga_complete(m, sample_mask(dims, 0.2, 1), CompletionConfig(spec=make_spec(kind, dims), max_iters=300))
+        assert any(whole) and not all(whole)
 
     def test_same_input_same_output_whatever_ran_before(self, rng):
         a, spec = _with_l_spectrum(rng, "dct", (30, 26, 2, 2), np.array([3.0, 1.5, 0.2]), False)
