@@ -590,7 +590,7 @@ class TestTraceCsv:
         assert lines[2].endswith(",,")
 
     def test_numpy_scalar_settings_write_plain_numbers(self, tmp_path):
-        # a numpy scalar nu or mu_bar_ratio wrote "np.float64(...)" into the mu column
+        # a numpy scalar's repr, "np.float64(...)", is no number a CSV reader parses
         m, spec = low_rank((6, 5, 3), 2, 1)
         cfg = CompletionConfig(spec=spec, nu=np.float64(0.5), mu_bar_ratio=np.float64(0.1), tol=1e-12, max_iters=8)
         _, trace = pga_complete(m, sample_mask(m.shape, 0.6, 1), cfg, ground_truth=m)
