@@ -9,15 +9,18 @@ checks no finiteness itself: each transform, forward or inverse, raises
 overflowed, since its inverse cannot be finite.  The stacks are in
 rep-stack memory order and the intermediates live in the workspace (see
 :mod:`ltensor.core`); every result is a new array.
-Real inputs under fft, dct or cprod come back real via the imaginary-residual
-contract in :func:`ltensor.transforms.apply_l_inv`; an explicit L may be
-complex and so may its outputs.  A zero-size first or second dim gives the
-empty result.
+Real inputs under dct or cprod come back real via the imaginary-residual
+contract in :func:`ltensor.transforms.apply_l_inv`.  Under fft they come back
+through the half-spectrum inverse, numpy's ``irfftn``, which reads only the
+slices :func:`ltensor.transforms._half_spectrum` names and forms no imaginary
+part to test.  An explicit L may be complex and so may its outputs.  A
+zero-size first or second dim gives the empty result.
 
 :func:`svt` takes each slice's (U, sigma) from one of two routines: the
 Gram routine :func:`_gram_pairs`, which certifies a block of Ritz pairs of
-G = H H^H slice by slice, when G has order >= 4 * ``_BLOCK``; and the thin
-SVD of every slice, for smaller slices and for Grams that are unsafe.
+G = H H^H slice by slice, when G has order >= 4 * ``_BLOCK``, on just the
+slices the inverse reads; and the thin SVD of every slice, for smaller
+slices and for Grams that are unsafe.
 :func:`t_svd`, :func:`ranks`, :func:`spectral_norm` and :func:`nuclear_norm`
 need the small singular values, which squaring would lose, and stay on the
 direct SVD.
@@ -31,7 +34,7 @@ import numpy as np
 
 from .core import _NORM_MIN, _as_tensor, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_real, num_rep, product_operands, scratch
 from .errors import ParameterError, ShapeError
-from .transforms import TransformSpec, apply_l, apply_l_inv, check_spec
+from .transforms import TransformSpec, _conj_rows, _half_spectrum, apply_l, apply_l_inv, check_spec
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 
@@ -63,9 +66,13 @@ def _real(spec, *tensors) -> bool:
 def _slicewise(fn, spec, *tensors):
     """L^{-1}(fn(L(t_1), L(t_2), ...)) with fn acting on (P, I_1, I_2) stacks.
 
-    ``fn`` may return a tuple of stacks; each is transformed back.  Overflow
-    in ``fn`` is silenced here: its inf or NaN reaches the inverse, which
-    raises ``ParameterError`` like one that overflows itself.
+    ``fn`` may return a tuple of stacks; each is transformed back.  Under fft
+    with real inputs the half-spectrum inverse reads only the rows
+    :func:`ltensor.transforms._half_spectrum` names, so ``fn`` may leave the
+    others as they are; the public ``apply_l_inv`` keeps the
+    imaginary-residual test.  Overflow in ``fn`` is silenced here: its inf or
+    NaN reaches the inverse, which raises ``ParameterError`` like one that
+    overflows itself.
     """
     # The forward stacks stay referenced until the inverse is done: freeing
     # them first made a dct solve take 1.5x the minor page faults.
@@ -74,7 +81,7 @@ def _slicewise(fn, spec, *tensors):
 
     def back(stack):  # new stacks or views of hats: the inverse may overwrite those not in the workspace
         stack = from_rep_stack(stack, tensors[0].shape[2:])
-        return apply_l_inv(stack, spec, assume_real=real, overwrite=True)
+        return apply_l_inv(stack, spec, assume_real=real, overwrite=True, _half=True)
 
     with np.errstate(over="ignore", invalid="ignore"):
         out = fn(*hats)
@@ -185,7 +192,25 @@ def t_svd(a, spec: TransformSpec) -> LFactors:
     a = u *_L s *_L v^T with u, v orthogonal and s f-diagonal; tube norms are
     the Frobenius norms of the scalar-tensors s(i,i,:,...,:).
     """
-    u, s, v = _slicewise(_svd_factors, spec, _as_tensor(a))
+    a = _as_tensor(a)
+
+    def factors(hat):
+        # Where singular values repeat, the factors of a real tensor's slices under
+        # fft need not come in conjugate pairs, nor be real on a self-conjugate
+        # slice, and the half-spectrum inverse would mix two bases; so those slices
+        # are factored as real matrices, and the second slice of each pair takes
+        # the conjugates of the first one's factors.
+        if _half_spectrum(spec, a.shape, _real(spec, a)) is None:
+            return _svd_factors(hat)
+        pair, row = _conj_rows(spec, a.shape), np.arange(len(hat))
+        hat.imag[pair == row] = 0.0
+        out = _svd_factors(hat)
+        second = np.flatnonzero(pair < row)
+        for x in out:
+            x[second] = x[pair[second]].conj()
+        return out
+
+    u, s, v = _slicewise(factors, spec, a)
     tube_norms = np.array([fro_norm(s[(i, i)]) for i in range(min(s.shape[:2]))])
     return LFactors(u=u, s=s, v=v, tube_norms=tube_norms, spec=spec)
 
@@ -223,8 +248,10 @@ def nuclear_norm(a, spec: TransformSpec) -> float:
 
 
 def _rows(stack, rows):
-    """stack[rows], or stack itself when rows is every slice: no copy of a Gram-sized stack."""
-    return stack if len(rows) == len(stack) else stack[rows]
+    """stack[rows] for ascending rows; a view, not a copy of a Gram-sized stack, when they are consecutive."""
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        return stack[rows[0] : rows[-1] + 1]
+    return stack[rows]
 
 
 def _positive_definite(x):
@@ -329,7 +356,10 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     for the whole stack:
 
     - Gram, when G = H H^H has order >= 4 * ``_BLOCK``; :func:`_gram_pairs`
-      sets out its protocol.  It has three outcomes:
+      sets out its protocol.  Under fft on real input it works on just the
+      rows the half-spectrum inverse reads (the prox of conj(H) is
+      conj(prox(H))), and the result goes back into those rows of the
+      L-domain stack.  It has three outcomes:
       - zero: a slice that passes the Gershgorin screen, or whose inertia
         certificate with no pair kept succeeds, has no sigma above tau;
       - certified block: every other slice keeps up to ``_BLOCK`` Ritz
@@ -348,16 +378,29 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     if not (is_real(tau) and 0.0 <= tau):
         raise ParameterError(f"tau must be >= 0, got {tau!r}")
     check_spec(spec, "svt")
+    a = _as_tensor(a)
 
     def shrink(hat):
         tall = hat.shape[1] > hat.shape[2]
         h = _conj_transpose(hat) if tall else hat
-        pairs = _gram_pairs(h, tau) if h.shape[1] >= 4 * _BLOCK else None
+        gram = h.shape[1] >= 4 * _BLOCK
+        # The Gram route takes only the rows the half-spectrum inverse reads.  The
+        # slice SVD keeps every slice: bench/'s linalg.svd.slices pin counts them
+        # until ROADMAP item 1 re-pins it.
+        half = _half_spectrum(spec, a.shape, _real(spec, a)) if gram else None
+        if half is not None:
+            rows = np.arange(len(hat)).reshape(a.shape[:1:-1])[half].ravel()
+            h = _rows(h, rows)
+        pairs = _gram_pairs(h, tau) if gram else None
         u, sv = pairs if pairs is not None else np.linalg.svd(h, full_matrices=False)[:2]
         k = int((sv > tau).sum(axis=1).max(initial=0))
         u, sv = u[:, :, :k], sv[:, :k]
         scale = np.divide(sv - tau, sv, out=np.zeros_like(sv), where=sv > tau)
         out = np.matmul(u * scale[:, None, :], np.matmul(_conj_transpose(u), h))
-        return _conj_transpose(out) if tall else out
+        out = _conj_transpose(out) if tall else out
+        if len(out) == len(hat):
+            return out
+        hat[rows] = out  # the inverse reads no other row
+        return hat
 
-    return _slicewise(shrink, spec, _as_tensor(a))
+    return _slicewise(shrink, spec, a)

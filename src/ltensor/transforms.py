@@ -24,7 +24,11 @@ described in :mod:`ltensor.core`.  Each step writes where
 role None.  fft transforms all its modes in one in-place multi-axis
 ``numpy.fft`` call (``fftn``/``ifftn`` with ``out=`` the block): on the
 input itself when it is handed over, else on a complex128 copy made in the
-result's place.  A dense complex DFT costs about 4x a real one.
+result's place.  A dense complex DFT costs about 4x a real one.  The *_L
+ops of :mod:`ltensor.linalg` take fft's inverse of a real result as one
+``np.fft.irfftn`` call on the half spectrum :func:`_half_spectrum` names,
+which forms no imaginary part; the public :func:`apply_l_inv` keeps its
+imaginary-residual test.
 The matrix kinds, dct included, take one :func:`ltensor.core.mode_n_product`
 per mode.  Every kind works in double precision (complex when L or the input
 is), so a spec with no transformed modes also returns float64 for integer,
@@ -226,7 +230,33 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
 _STEPS = ("transforms.step0", "transforms.step1")
 
 
-def _mode_loop(x, spec, inverse, overwrite=False, role=None):
+def _half_spectrum(spec, shape, real):
+    """The L-domain slices the half-spectrum inverse reads, as an index into the rep block; None if it reads all.
+
+    Under fft the slices of a real tensor's L-domain come in conjugate pairs,
+    so L^{-1} of a real result needs only one of each pair: numpy's ``irfftn``,
+    with the last transformed mode m (the block's outermost transformed axis)
+    as its halved axis, reads just the slices whose index k there is
+    < I_m // 2 + 1.  The index selects them from the block's (I_N, ..., I_3)
+    axes: a prefix of the rep stack when m = N, strided rows otherwise.  None
+    unless ``real`` and L is fft with transformed modes.
+    """
+    if not (real and spec.kind == "fft" and spec.modes):
+        return None
+    return (slice(None),) * (len(shape) - spec.modes[-1]) + (slice(spec.sizes[-1] // 2 + 1),)
+
+
+def _conj_rows(spec, shape):
+    """Under fft, the rep-stack row of each slice's conjugate: slice p of a real
+    tensor's L-domain is the conjugate of slice ``_conj_rows(...)[p]``, whose index
+    on every transformed mode m is -k mod I_m."""
+    rows = np.arange(num_rep(shape)).reshape(shape[:1:-1])
+    for m in spec.modes:
+        rows = np.roll(np.flip(rows, len(shape) - m), 1, len(shape) - m)
+    return rows.ravel()
+
+
+def _mode_loop(x, spec, inverse, overwrite=False, role=None, half=False):
     check_spec(spec)
     x = _as_tensor(x)
     for mode, size in zip(spec.modes, spec.sizes):
@@ -236,22 +266,27 @@ def _mode_loop(x, spec, inverse, overwrite=False, role=None):
                 f"with sizes {spec.sizes}"
             )
     block = rep_block(x)  # mode m is its axis N - m
+    axes = [x.ndim - m for m in spec.modes]  # the last is the half spectrum's halved axis
+    index = _half_spectrum(spec, x.shape, half)
     fft = spec.kind == "fft" and bool(spec.modes)
     # L is computed in double precision under every kind, and fft in complex
     dtype = np.promote_types(x.dtype, np.complex128 if fft else np.float64)
     ready = spec.modes and block.flags.c_contiguous and block.dtype == dtype
     # the result may take the memory of an input handed over, never the workspace's
     owned = block if ready and overwrite and block.flags.writeable and not in_workspace(block) else None
-    if not ready or fft and owned is None:
+    if index is None and (not ready or fft and owned is None):
         # fft transforms this copy in place; with no modes L is the identity, and it is the result
         copy = scratch(_STEPS[1] if spec.modes and not fft else role, block.shape, dtype)
         np.copyto(copy, block)
         block = copy
-    if fft:  # one in-place multi-axis numpy.fft call
+    if fft:  # one multi-axis numpy.fft call: in place, or a new real block from half the slices
         # numpy's fft warns on an overflow to inf or NaN (mode_n_product silences
         # its own), and the finiteness pass below refuses it
         with np.errstate(over="ignore", invalid="ignore"):
-            block = (np.fft.ifftn if inverse else np.fft.fftn)(block, axes=[x.ndim - m for m in spec.modes], out=block)
+            if index is not None:
+                block = np.fft.irfftn(block[index], s=spec.sizes, axes=axes)
+            else:
+                block = (np.fft.ifftn if inverse else np.fft.fftn)(block, axes=axes, out=block)
     else:
         modes = tuple(reversed(spec.modes)) if inverse else spec.modes
         for i, mode in enumerate(modes):
@@ -283,7 +318,7 @@ def apply_l(x, spec: TransformSpec, *, _scratch=None) -> np.ndarray:
     return _mode_loop(x, spec, inverse=False, role=_scratch)
 
 
-def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite: bool = False) -> np.ndarray:
+def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite: bool = False, *, _half=False) -> np.ndarray:
     """L^{-1}(xhat): inverse mode products in reverse mode order.
 
     Raises ``ParameterError`` when the result holds NaN or inf, before any
@@ -295,10 +330,13 @@ def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite:
     mode product there when there are two or more), never workspace memory.
     The result is a new array unless xhat was handed over.  Both options are
     bools, Python or numpy; anything else raises ``ParameterError``.
+    ``_half`` is internal, for a caller that knows the result is real: with
+    ``assume_real`` under fft, numpy's ``irfftn`` reads only the slices
+    :func:`_half_spectrum` names, and no imaginary part is formed to test.
     """
     if not (is_flag(assume_real) and is_flag(overwrite)):
         raise ParameterError(f"assume_real and overwrite must be bools, got {assume_real!r} and {overwrite!r}")
-    out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite)
+    out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite, half=_half and assume_real)
     if assume_real and np.iscomplexobj(out):
         # ||out||^2 and ||Im out||^2 as two BLAS dots over the (re, im) float
         # view, which copies nothing; fro_norm rescales when the squares

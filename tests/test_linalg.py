@@ -696,14 +696,14 @@ class TestSvtBlock:
         return calls
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_a_failed_certificate_keeps_stepping(self, rng, kind, monkeypatch):
-        # the first certificate, the batched one with sigma_1's pair kept, is refused;
-        # each slice then takes its own, and no slice's failure reaches the Gram
-        # factorization
+    def test_a_refused_batch_certificate_is_retried_slice_by_slice(self, rng, kind, monkeypatch):
+        # every slice converges at the same check.  The batched certificate with
+        # sigma_1's pair kept is refused; each slice's own then passes, so all four
+        # are certified at that check and none reaches the Gram factorization
         a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), self.SLOW, False)
         calls = self._record(monkeypatch, refuse_first_cholesky=True)
         out = svt(a, 1.0, spec)
-        assert [name for name, _ in calls].count("cholesky") >= 2
+        assert [shape for name, shape in calls if name == "cholesky"] == [(4, 26, 26)] + [(26, 26)] * 4
         assert ("svd", (4, 26, 26)) not in calls
         monkeypatch.undo()
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
@@ -813,15 +813,18 @@ class TestSvtBlock:
     def test_a_noisy_solve_factors_the_whole_gram_in_some_calls(self, kind, hermitian_shapes, monkeypatch):
         # a 30x26x3x6 video plus N(0, 0.05^2) noise: 18 slices with Grams of order 26.  In
         # some calls a slice holds more than R values above tau, or the step cap is
-        # reached, and the block gives up; every call must still match the SVD prox (~2 s)
+        # reached, and the block gives up; every call must still match the SVD prox (~2 s).
+        # Under fft the block and the whole Gram take only the 3 x (6 // 2 + 1) slices
+        # that the half-spectrum inverse reads
         dims = (30, 26, 3, 6)
         m = np.clip(synthetic_video(dims) + 0.05 * np.random.default_rng(0).standard_normal(dims), 0.0, 1.0)
         whole, prox = [], ltensor.completion.svt
+        gram = ({"fft": 12, "dct": 18}[kind], 26, 26)
 
         def checked(g, tau, spec):
             before = len(hermitian_shapes)
             out = prox(g, tau, spec)
-            whole.append((18, 26, 26) in hermitian_shapes[before:])
+            whole.append(gram in hermitian_shapes[before:])
             assert fro_norm(out - _svd_prox(g, tau, spec)) <= 1e-12 * fro_norm(g)
             return out
 
@@ -834,6 +837,120 @@ class TestSvtBlock:
         first = svt(a, 1.0, spec)
         svt(rng.standard_normal(a.shape), 1.0, spec)
         assert np.array_equal(svt(a, 1.0, spec), first)
+
+
+def _fft_and_dft(shape, modes):
+    """The fft spec for shape and modes, and an explicit spec holding the same DFT matrices."""
+    fft = make_spec("fft", shape, modes)
+    matrices = {m: build_fourier_matrix(n) for m, n in zip(fft.modes, fft.sizes)}
+    return fft, make_spec("explicit", shape, fft.modes, matrices)
+
+
+def _real_and_close(out, reference):
+    """out is real and equals the complex reference within rounding."""
+    assert out.dtype == np.float64
+    assert fro_norm(out - reference) <= 1e-12 * max(1.0, fro_norm(reference))
+
+
+class TestHalfSpectrum:
+    """Real inputs under fft come back through the half-spectrum inverse, which
+    reads only the slices with k < n // 2 + 1 along the last transformed mode.
+    Each op is compared with an explicit spec holding the DFT matrices, whose
+    inverse reads every slice."""
+
+    R = ltensor.linalg._BLOCK
+
+    # orders 3-5 with mode sizes 1-5; the halved mode is the last transformed one,
+    # so modes (3,) on order 4 and (3, 4) on order 5 read strided rows
+    CASES = {
+        "order3-odd-tall": ((4, 3, 5), None),
+        "order3-even-wide": ((3, 4, 4), None),
+        "order3-size1": ((3, 2, 1), None),
+        "order4": ((4, 3, 2, 3), None),
+        "order4-modes3": ((3, 4, 3, 4), (3,)),
+        "order4-modes4": ((4, 3, 3, 4), (4,)),
+        "order5-modes35": ((2, 3, 2, 3, 5), (3, 5)),
+        "order5-modes34": ((3, 2, 3, 5, 2), (3, 4)),
+        "order5": ((3, 2, 5, 1, 4), None),
+    }
+
+    @pytest.fixture(params=CASES.values(), ids=CASES.keys())
+    def case(self, request, rng):
+        shape, modes = request.param
+        return rng.standard_normal(shape), *_fft_and_dft(shape, modes)
+
+    def test_l_product_and_l_transpose(self, rng, case):
+        a, fft, dft = case
+        b = rng.standard_normal((a.shape[1], 3) + a.shape[2:])
+        _real_and_close(l_product(a, b, fft), l_product(a, b, dft))
+        _real_and_close(l_transpose(a, fft), l_transpose(a, dft))
+
+    def test_t_svd_factors_and_truncate(self, case):
+        a, fft, dft = case
+        f, g = t_svd(a, fft), t_svd(a, dft)
+        # u and v are unique only up to each slice's phases: check what defines them
+        _real_and_close(f.s, g.s)
+        _real_and_close(l_product(l_product(f.u, f.s, fft), l_transpose(f.v, fft), fft), a)
+        assert is_orthogonal(f.u, fft) and is_orthogonal(f.v, fft)
+        assert f.u.dtype == f.v.dtype == np.float64
+        np.testing.assert_allclose(f.tube_norms, g.tube_norms, rtol=1e-12)
+        _real_and_close(truncate(f, 1), truncate(g, 1))
+
+    # a mode of size 6 gives self-conjugate slices (k = 3) with imaginary parts of
+    # ~1e-16 from the fft's twiddles, in the plane the inverse halves or beside it
+    @pytest.mark.parametrize("trailing, modes", [((6,), None), ((6, 3), None), ((6, 2), (3,))])
+    def test_t_svd_where_every_singular_value_repeats(self, rng, trailing, modes):
+        # In the slices of an orthogonal tensor, and of a matrix times a tube, all
+        # singular values are equal, so each slice's factors are free up to a unitary,
+        # and a slice that is real up to rounding can give complex ones.  Mixing them
+        # in the half-spectrum inverse gave factors far from orthogonal; the full
+        # inverse's residual test refused them with NumericConsistencyError
+        fft = make_spec("fft", (4, 4) + trailing, modes)
+        orthogonal = t_svd(rng.standard_normal((4, 4) + trailing), fft).u
+        matrix = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        tube = np.einsum("ij,...->ij...", matrix, rng.standard_normal(trailing))
+        for b in (orthogonal, tube):
+            f = t_svd(b, fft)
+            assert is_orthogonal(f.u, fft) and is_orthogonal(f.v, fft)
+            _real_and_close(l_product(l_product(f.u, f.s, fft), l_transpose(f.v, fft), fft), b)
+
+    def test_is_orthogonal(self, case):
+        a, fft, dft = case
+        q = t_svd(a[:, :1] * a[:1], fft).u  # square slices
+        assert is_orthogonal(q, fft) and is_orthogonal(q, dft)
+        assert not is_orthogonal(q + 1e-3, fft) and not is_orthogonal(q + 1e-3, dft)
+
+    def test_svt(self, case):
+        a, fft, dft = case
+        tau = 0.3 * _fmax(a, fft)
+        out = svt(a, tau, fft)
+        _real_and_close(out, _svd_prox(a, tau, fft))
+        _real_and_close(out, svt(a, tau, dft))
+
+    # Grams of order 26, so svt takes the Gram route on the rows the inverse reads:
+    # 3 x (5 // 2 + 1), 4 // 2 + 1, and under modes (3,) rows 0-2 and 5-7 of 10
+    GRAM = {
+        "wide-order4": ((26, 30, 3, 5), None, 9),
+        "tall-order3": ((30, 26, 4), None, 3),
+        "wide-strided": ((26, 30, 5, 2), (3,), 6),
+    }
+
+    @pytest.mark.parametrize("shape, modes, rows", GRAM.values(), ids=GRAM.keys())
+    def test_the_gram_route_takes_only_the_rows_the_inverse_reads(self, rng, shape, modes, rows, hermitian_shapes):
+        a = rng.standard_normal(shape)
+        fft, dft = _fft_and_dft(shape, modes)
+        fmax = _fmax(a, fft)
+        # at 0.4 fmax the block is certified; at 0.05 fmax every slice holds more than
+        # R values above tau, and the block gives up to the whole Gram of those rows
+        for ratio in (0.4, 0.05):
+            hermitian_shapes.clear()
+            out = svt(a, ratio * fmax, fft)
+            if ratio == 0.05:
+                assert hermitian_shapes == [(rows, self.R, self.R), (rows, 26, 26)]
+            else:
+                assert hermitian_shapes and all(s[0] <= rows and s[1] == self.R for s in hermitian_shapes)
+            _real_and_close(out, _svd_prox(a, ratio * fmax, fft))
+            _real_and_close(out, svt(a, ratio * fmax, dft))
 
 
 def _l_square(a, spec):
