@@ -9,12 +9,13 @@ checks no finiteness itself: each transform, forward or inverse, raises
 overflowed, since its inverse cannot be finite.  The stacks are in
 rep-stack memory order and the intermediates live in the workspace (see
 :mod:`ltensor.core`); every result is a new array.
-Real inputs under dct or cprod come back real via the imaginary-residual
-contract in :func:`ltensor.transforms.apply_l_inv`.  Under fft they come back
-through the half-spectrum inverse, numpy's ``irfftn``, which reads only the
-slices :func:`ltensor.transforms._half_spectrum` names and forms no imaginary
-part to test.  An explicit L may be complex and so may its outputs.  A
-zero-size first or second dim gives the empty result.
+Real inputs under dct or cprod come back real because L is real, with no
+test.  Under fft they come back through the half-spectrum inverse, numpy's
+``irfftn``, which reads only the slices
+:func:`ltensor.transforms._half_spectrum` names and forms no imaginary part.
+No op runs the imaginary-residual test of the public
+``apply_l_inv(..., assume_real=True)``.  An explicit L may be complex and so
+may its outputs.  A zero-size first or second dim gives the empty result.
 
 :func:`svt` takes each slice's (U, sigma) from one of two routines: the
 Gram routine :func:`_gram_pairs`, which certifies a block of Ritz pairs of
@@ -58,30 +59,24 @@ def _forward(a, spec, slot=0):
     return as_rep_stack(apply_l(a, spec, _scratch=("forward", slot)))
 
 
-def _real(spec, *tensors) -> bool:
-    """Whether L^{-1} may drop the imaginary part: real inputs, and L is not explicit (maybe complex)."""
-    return spec.kind != "explicit" and all(np.isrealobj(t) for t in tensors)
-
-
 def _slicewise(fn, spec, *tensors):
     """L^{-1}(fn(L(t_1), L(t_2), ...)) with fn acting on (P, I_1, I_2) stacks.
 
-    ``fn`` may return a tuple of stacks; each is transformed back.  Under fft
-    with real inputs the half-spectrum inverse reads only the rows
+    ``fn`` may return a tuple of stacks; each is transformed back.  Real
+    inputs give a real result, and the inverse is told so with ``_half``:
+    under fft it reads only the rows
     :func:`ltensor.transforms._half_spectrum` names, so ``fn`` may leave the
-    others as they are; the public ``apply_l_inv`` keeps the
-    imaginary-residual test.  Overflow in ``fn`` is silenced here: its inf or
-    NaN reaches the inverse, which raises ``ParameterError`` like one that
-    overflows itself.
+    others as they are, and no kind tests an imaginary residual.  Overflow in
+    ``fn`` is silenced here: its inf or NaN reaches the inverse, which raises
+    ``ParameterError`` like one that overflows itself.
     """
     # The forward stacks stay referenced until the inverse is done: freeing
     # them first made a dct solve take 1.5x the minor page faults.
     hats = [_forward(t, spec, slot) for slot, t in enumerate(tensors)]
-    real = _real(spec, *tensors)
+    real = all(map(np.isrealobj, tensors))
 
     def back(stack):  # new stacks or views of hats: the inverse may overwrite those not in the workspace
-        stack = from_rep_stack(stack, tensors[0].shape[2:])
-        return apply_l_inv(stack, spec, assume_real=real, overwrite=True, _half=True)
+        return apply_l_inv(from_rep_stack(stack, tensors[0].shape[2:]), spec, overwrite=True, _half=real)
 
     with np.errstate(over="ignore", invalid="ignore"):
         out = fn(*hats)
@@ -106,7 +101,7 @@ def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
         raise ParameterError(f"identity size must be an integer >= 0, so must trailing dims: {n}, {trailing_dims}")
     P = num_rep((n, n) + trailing)
     stack = np.broadcast_to(np.eye(n), (P, n, n)).copy()
-    return apply_l_inv(from_rep_stack(stack, trailing), spec, assume_real=_real(check_spec(spec)))
+    return apply_l_inv(from_rep_stack(stack, trailing), spec, _half=True)
 
 
 def _conj_transpose(stack):
@@ -200,7 +195,7 @@ def t_svd(a, spec: TransformSpec) -> LFactors:
         # slice, and the half-spectrum inverse would mix two bases; so those slices
         # are factored as real matrices, and the second slice of each pair takes
         # the conjugates of the first one's factors.
-        if _half_spectrum(spec, a.shape, _real(spec, a)) is None:
+        if _half_spectrum(spec, a.shape, np.isrealobj(a)) is None:
             return _svd_factors(hat)
         pair, row = _conj_rows(spec, a.shape), np.arange(len(hat))
         hat.imag[pair == row] = 0.0
@@ -302,7 +297,9 @@ def _gram_pairs(h, tau):
     accepted once no slice is live.  It gives up, and one
     ``np.linalg.svd(G, hermitian=True)`` factors the whole Gram, when an r-th
     Ritz value exceeds tau^2 (Ritz values are lower bounds, so more than r
-    eigenvalues do), or after _BLOCK_MAX_STEPS steps.
+    eigenvalues do), or after _BLOCK_MAX_STEPS steps.  U and sigma come back
+    untrimmed, zero where a slice keeps nothing: :func:`svt` keeps the
+    leading columns that hold some sigma > tau.
     """
     gram = np.matmul(h, _conj_transpose(h))  # overflow is silenced by _slicewise
     # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
@@ -316,7 +313,7 @@ def _gram_pairs(h, tau):
     lam = np.zeros((P, _BLOCK))  # their kept Ritz values, 0 where unkept
     live = np.flatnonzero(np.abs(gram).sum(axis=2).max(axis=1) * (1.0 + 2.0 * n * eps) > tau * tau)
     if not live.size:
-        return u[:, :, :0], lam[:, :0]
+        return u, lam
     q = np.linalg.qr(np.matmul(_rows(h, live), omega))[0]
     g = _rows(gram, live)  # the live slices' Gram
     for step in range(_BLOCK_MAX_STEPS):
@@ -337,8 +334,7 @@ def _gram_pairs(h, tau):
                 stay = np.delete(np.arange(live.size), done)
                 live, q, y, g = live[stay], q[stay], y[stay], _rows(g, stay)
                 if not live.size:
-                    k = int(np.count_nonzero(lam, axis=1).max())
-                    return u[:, :, :k], np.sqrt(lam[:, :k])
+                    return u, np.sqrt(lam)
         q = np.linalg.qr(y)[0]
     u, lam, _ = np.linalg.svd(gram, hermitian=True)
     return u, np.sqrt(lam)
@@ -387,7 +383,7 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
         # The Gram route takes only the rows the half-spectrum inverse reads.  The
         # slice SVD keeps every slice: bench/'s linalg.svd.slices pin counts them
         # until ROADMAP item 1 re-pins it.
-        half = _half_spectrum(spec, a.shape, _real(spec, a)) if gram else None
+        half = _half_spectrum(spec, a.shape, np.isrealobj(a)) if gram else None
         if half is not None:
             rows = np.arange(len(hat)).reshape(a.shape[:1:-1])[half].ravel()
             h = _rows(h, rows)

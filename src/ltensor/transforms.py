@@ -27,8 +27,9 @@ input itself when it is handed over, else on a complex128 copy made in the
 result's place.  A dense complex DFT costs about 4x a real one.  The *_L
 ops of :mod:`ltensor.linalg` take fft's inverse of a real result as one
 ``np.fft.irfftn`` call on the half spectrum :func:`_half_spectrum` names,
-which forms no imaginary part; the public :func:`apply_l_inv` keeps its
-imaginary-residual test.
+which forms no imaginary part.  Only a public caller's
+``apply_l_inv(..., assume_real=True)`` tests an imaginary residual; no op
+passes ``assume_real``.
 The matrix kinds, dct included, take one :func:`ltensor.core.mode_n_product`
 per mode.  Every kind works in double precision (complex when L or the input
 is), so a spec with no transformed modes also returns float64 for integer,
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _NORM_MIN, _as_tensor, count_tuple, fro_norm, from_rep_stack, in_workspace, is_count, is_flag, mode_n_product, num_rep, rep_block, scratch
+from .core import _as_tensor, count_tuple, fro_norm, from_rep_stack, in_workspace, is_count, is_flag, mode_n_product, num_rep, rep_block, scratch
 from .errors import ParameterError, NumericConsistencyError, TransformError, UnsupportedSpecError
 
 _INV_TOL = 1e-10
@@ -330,24 +331,15 @@ def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite:
     mode product there when there are two or more), never workspace memory.
     The result is a new array unless xhat was handed over.  Both options are
     bools, Python or numpy; anything else raises ``ParameterError``.
-    ``_half`` is internal, for a caller that knows the result is real: with
-    ``assume_real`` under fft, numpy's ``irfftn`` reads only the slices
-    :func:`_half_spectrum` names, and no imaginary part is formed to test.
+    ``_half`` is internal, for a caller that knows the result is real: under
+    fft, numpy's ``irfftn`` reads only the slices :func:`_half_spectrum`
+    names and forms no imaginary part; other kinds ignore it.
     """
     if not (is_flag(assume_real) and is_flag(overwrite)):
         raise ParameterError(f"assume_real and overwrite must be bools, got {assume_real!r} and {overwrite!r}")
-    out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite, half=_half and assume_real)
+    out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite, half=_half)
     if assume_real and np.iscomplexobj(out):
-        # ||out||^2 and ||Im out||^2 as two BLAS dots over the (re, im) float
-        # view, which copies nothing; fro_norm rescales when the squares
-        # overflow or underflow
-        flat = out.ravel("K").view(out.real.dtype)
-        with np.errstate(over="ignore"):
-            norm2, imag2 = float(flat @ flat), float(flat[1::2] @ flat[1::2])
-        if _NORM_MIN**2 <= norm2 < math.inf:
-            norm, imag = math.sqrt(norm2), math.sqrt(imag2)
-        else:
-            norm, imag = fro_norm(out), fro_norm(out.imag)
+        norm, imag = fro_norm(out), fro_norm(out.imag)
         if norm > 0 and not imag / norm <= _IMAG_TOL:  # inf / inf is NaN: refused too
             raise NumericConsistencyError(
                 f"imaginary residual {imag / norm:.3e} exceeds {_IMAG_TOL:.0e}; "

@@ -884,6 +884,9 @@ class TestHalfSpectrum:
         b = rng.standard_normal((a.shape[1], 3) + a.shape[2:])
         _real_and_close(l_product(a, b, fft), l_product(a, b, dft))
         _real_and_close(l_transpose(a, fft), l_transpose(a, dft))
+        eye = identity_tensor(a.shape[1], a.shape[2:], fft)
+        _real_and_close(eye, identity_tensor(a.shape[1], a.shape[2:], dft))
+        _real_and_close(l_product(a, eye, fft), a)
 
     def test_t_svd_factors_and_truncate(self, case):
         a, fft, dft = case
@@ -951,6 +954,45 @@ class TestHalfSpectrum:
                 assert hermitian_shapes and all(s[0] <= rows and s[1] == self.R for s in hermitian_shapes)
             _real_and_close(out, _svd_prox(a, ratio * fmax, fft))
             _real_and_close(out, svt(a, ratio * fmax, dft))
+
+
+class TestInverseFlags:
+    """``assume_real`` is the public, checked contract of ``apply_l_inv``: it tests
+    the imaginary residual and drops it.  An op states that its result is real
+    with the internal ``_half`` alone, so no op runs the residual test."""
+
+    @pytest.mark.parametrize("kind", ["fft", "dct", "cprod", "explicit"])
+    def test_no_op_passes_assume_real(self, kind, rng, monkeypatch):
+        shape = (26, 26, 3, 2)  # Grams of order 26: svt takes the Gram route
+        spec = _fft_and_dft(shape, None)[1] if kind == "explicit" else make_spec(kind, shape)
+        calls, norms = [], []
+        inverse, norm = ltensor.linalg.apply_l_inv, ltensor.transforms.fro_norm
+
+        def recording(*args, **kwargs):
+            calls.append((len(args), set(kwargs)))
+            return inverse(*args, **kwargs)
+
+        def counting(x):
+            norms.append(x.shape)
+            return norm(x)
+
+        monkeypatch.setattr(ltensor.linalg, "apply_l_inv", recording)
+        monkeypatch.setattr(ltensor.transforms, "fro_norm", counting)
+        real = rng.standard_normal(shape)
+        for a in (real, real + 1j * rng.standard_normal(shape)):
+            f = t_svd(a, spec)
+            truncate(f, 2)
+            l_product(a, a, spec)
+            l_transpose(a, spec)
+            is_orthogonal(a, spec)
+            if spec.unitary_scaled:
+                svt(a, 0.4 * _fmax(a, spec), spec)
+        identity_tensor(shape[0], shape[2:], spec)
+        assert calls and all(n == 2 and "assume_real" not in kw for n, kw in calls)
+        assert norms == []
+        # a public call on a complex result: ||out|| and ||Im out||, then real
+        out = apply_l_inv(apply_l(real + 0j, spec), spec, assume_real=True)
+        assert out.dtype == np.float64 and len(norms) == 2
 
 
 def _l_square(a, spec):
