@@ -294,12 +294,13 @@ def _gram_pairs(h, tau):
     Sylvester's law of inertia no G~ has another eigenvalue above tau^2, and
     the slice keeps its pairs and leaves the live set; with nothing kept its
     prox is proved zero.  If it fails, the slice steps on.  The block is
-    accepted once no slice is live.  It gives up, and one
-    ``np.linalg.svd(G, hermitian=True)`` factors the whole Gram, when an r-th
-    Ritz value exceeds tau^2 (Ritz values are lower bounds, so more than r
-    eigenvalues do), or after _BLOCK_MAX_STEPS steps.  U and sigma come back
-    untrimmed, zero where a slice keeps nothing: :func:`svt` keeps the
-    leading columns that hold some sigma > tau.
+    accepted once no slice is live.  It gives up, and one ``np.linalg.eigh(G)``
+    factors the whole Gram, when an r-th Ritz value exceeds tau^2 (Ritz values
+    are lower bounds, so more than r eigenvalues do), or after
+    _BLOCK_MAX_STEPS steps.  Every factorization is ``np.linalg.eigh``, so
+    columns come in ascending order.  U and sigma come back untrimmed, zero
+    where a slice keeps nothing: :func:`svt` keeps the columns that hold some
+    sigma > tau.
     """
     gram = np.matmul(h, _conj_transpose(h))  # overflow is silenced by _slicewise
     # max_p ||H_p||_F^2, read off the Gram diagonal; inf when the Gram overflowed.
@@ -319,14 +320,13 @@ def _gram_pairs(h, tau):
     for step in range(_BLOCK_MAX_STEPS):
         y = np.matmul(g, q)
         if step % _BLOCK_CHECK == 0:
-            w, theta, _ = np.linalg.svd(np.matmul(_conj_transpose(q), y), hermitian=True)
-            sv = np.sqrt(theta)
-            if (sv[:, -1] > tau).any():  # a lower bound: more than r eigenvalues exceed tau^2
+            theta, w = np.linalg.eigh(np.matmul(_conj_transpose(q), y))  # ascending
+            if (theta[:, 0] > tau * tau).any():  # a lower bound: more than r eigenvalues exceed tau^2
                 break
-            kept = sv > tau
+            kept = theta > tau * tau
             v = np.matmul(q, w)
             res = np.linalg.norm(np.matmul(y, w) - v * theta[:, None, :], axis=1)
-            done = np.flatnonzero((~kept | (res <= _BLOCK_RESIDUAL * n * eps * theta[:, :1])).all(axis=1))
+            done = np.flatnonzero((~kept | (res <= _BLOCK_RESIDUAL * n * eps * theta[:, -1:])).all(axis=1))
             if done.size:  # the converged slices; those that pass their certificate leave
                 theta = np.where(kept, theta, 0.0)
                 done = done[_certified(_rows(g, done), v[done], theta[done], tau)]
@@ -336,8 +336,8 @@ def _gram_pairs(h, tau):
                 if not live.size:
                     return u, np.sqrt(lam)
         q = np.linalg.qr(y)[0]
-    u, lam, _ = np.linalg.svd(gram, hermitian=True)
-    return u, np.sqrt(lam)
+    lam, u = np.linalg.eigh(gram)
+    return u, np.sqrt(np.maximum(lam, 0.0))  # eigh may return -eps ||G||, far below tau^2
 
 
 def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
@@ -347,9 +347,9 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
 
     Each transform-domain slice H (H^H when tall) gives U and sigma with
     H H^H = U diag(sigma^2) U^H, and the result is
-    U_k diag(max(sigma - tau, 0) / sigma) U_k^H H over the k leading columns
-    that hold some sigma_p > tau.  U and sigma come from one of two routines
-    for the whole stack:
+    U_k diag(max(sigma - tau, 0) / sigma) U_k^H H over the k columns that
+    hold some sigma_p > tau, wherever the routine puts them.  U and sigma come
+    from one of two routines for the whole stack:
 
     - Gram, when G = H H^H has order >= 4 * ``_BLOCK``; :func:`_gram_pairs`
       sets out its protocol.  Under fft on real input it works on just the
@@ -363,8 +363,8 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
         inertia certificate.  The result is the exact Gram prox of a matrix
         within that bound of G, as the factorization's own result is for a
         matrix within its backward error;
-      - whole Gram: when the block gives up, one
-        ``np.linalg.svd(G, hermitian=True)`` factors every slice.
+      - whole Gram: when the block gives up, one ``np.linalg.eigh(G)``
+        factors every slice.
     - slice SVD: one thin ``np.linalg.svd(H)`` of every slice, with no Gram
       formed, for Grams of order < 4 * ``_BLOCK``, and for unsafe ones.  The
       Gram prox agrees with the SVD prox to about eps * fmax^2 / tau (Golub &
@@ -389,8 +389,8 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
             h = _rows(h, rows)
         pairs = _gram_pairs(h, tau) if gram else None
         u, sv = pairs if pairs is not None else np.linalg.svd(h, full_matrices=False)[:2]
-        k = int((sv > tau).sum(axis=1).max(initial=0))
-        u, sv = u[:, :, :k], sv[:, :k]
+        keep = (sv > tau).any(axis=0)  # the columns some slice keeps, in any order
+        u, sv = u[:, :, keep], sv[:, keep]
         scale = np.divide(sv - tau, sv, out=np.zeros_like(sv), where=sv > tau)
         out = np.matmul(u * scale[:, None, :], np.matmul(_conj_transpose(u), h))
         out = _conj_transpose(out) if tall else out

@@ -339,8 +339,10 @@ def apply_l_inv(xhat, spec: TransformSpec, assume_real: bool = False, overwrite:
         raise ParameterError(f"assume_real and overwrite must be bools, got {assume_real!r} and {overwrite!r}")
     out = _mode_loop(xhat, spec, inverse=True, overwrite=overwrite, half=_half)
     if assume_real and np.iscomplexobj(out):
-        norm, imag = fro_norm(out), fro_norm(out.imag)
-        if norm > 0 and not imag / norm <= _IMAG_TOL:  # inf / inf is NaN: refused too
+        # both norms of out / its largest part, as unscaled ones overflow near 1e308
+        big = max(np.abs(out.real).max(initial=1.0), np.abs(out.imag).max(initial=1.0))
+        norm, imag = fro_norm(out / big), fro_norm(out.imag / big)
+        if norm > 0 and not imag / norm <= _IMAG_TOL:
             raise NumericConsistencyError(
                 f"imaginary residual {imag / norm:.3e} exceeds {_IMAG_TOL:.0e}; "
                 "transform-domain tensor is not the image of a real tensor"

@@ -7,6 +7,19 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shape of every stack that np.linalg.eigh factors, in call order."""
+    shapes, eigh = [], np.linalg.eigh
+
+    def recording(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
 def random_shape(rng, min_order=3, max_order=5, max_dim=4):
     order = int(rng.integers(min_order, max_order + 1))
     return tuple(int(d) for d in rng.integers(1, max_dim + 1, size=order))

@@ -382,31 +382,25 @@ class TestPgaComplete:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_block_prox_solves_as_the_gram_factorization_does(self, kind, monkeypatch):
-        # 40 x 44 slices: svt's Gram has order 40, large enough for the block prox
+    def test_block_prox_solves_as_the_gram_factorization_does(self, kind, monkeypatch, eigh_shapes):
+        # 40 x 44 slices: svt's Gram has order 40, large enough for the block prox.
+        # eigh factors stacks of order 6 for a Ritz check, 40 for the whole Gram
         m, spec = low_rank((40, 44, 3, 4), 2, 5, kind)
         mask = sample_mask(m.shape, 0.5, 5)
         cfg = CompletionConfig(spec=spec, max_iters=100)
-        gram_pairs, accepted, svd = ltensor.linalg._gram_pairs, [], np.linalg.svd
-        factored = []  # the order of every stack a hermitian svd factors: 6 for a Ritz check, 40 for the Gram
+        gram_pairs, accepted = ltensor.linalg._gram_pairs, []
 
         def recording(h, tau):
             pairs = gram_pairs(h, tau)
             accepted.append(pairs is not None)
             return pairs
 
-        def recording_svd(x, **kwargs):
-            if kwargs.get("hermitian"):
-                factored.append(x.shape[1])
-            return svd(x, **kwargs)
-
         monkeypatch.setattr(ltensor.linalg, "_gram_pairs", recording)
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         x, trace = pga_complete(m, mask, cfg)
         monkeypatch.setattr(ltensor.linalg, "_gram_pairs", lambda h, tau: None)  # the slice SVD
         x_exact, trace_exact = pga_complete(m, mask, cfg)
         assert trace.status == "converged" and all(accepted) and len(accepted) == trace.iterations
-        assert set(factored) <= {ltensor.linalg._BLOCK}  # the block was certified, never the whole Gram factored
+        assert {shape[1] for shape in eigh_shapes} <= {ltensor.linalg._BLOCK}  # the block was certified, never the whole Gram factored
         assert trace.iterations == trace_exact.iterations
         assert np.abs(x - x_exact).max() <= 1e-12 * np.abs(x_exact).max()
 

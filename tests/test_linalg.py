@@ -187,6 +187,20 @@ class TestOrthogonality:
         with pytest.raises(ShapeError):
             is_orthogonal(np.ones((2, 3, 2)), make_spec("fft", (2, 3, 2)))
 
+    def test_both_products_are_checked(self):
+        # L-domain slices U S V^T and U S V[:, ::-1]^T with S^2 = diag(1 +- 1e-6): both
+        # slices give q *_L q^T the residual U (S^2 - I) U^T, and q^T *_L q the residuals
+        # +-V (S^2 - I) V^T.  cprod's inverse is not unitary-scaled, so the spatial
+        # residuals differ: 1.41e-6 for q *_L q^T, 2.0e-6 for q^T *_L q
+        def rotation(t):
+            return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+        u, v, s = rotation(0.3), rotation(1.1), np.sqrt([1 + 1e-6, 1 - 1e-6])
+        spec = make_spec("cprod", (2, 2, 2))
+        q = apply_l_inv(from_rep_stack(np.stack([(u * s) @ v.T, (u * s) @ v[:, ::-1].T]), (2,)), spec, assume_real=True)
+        assert not is_orthogonal(q, spec, 1.7e-6)
+        assert is_orthogonal(q, spec, 2.1e-6)
+
     @pytest.mark.parametrize("kind", ["fft", "cprod"])
     def test_three_transforms_per_call(self, kind, rng, monkeypatch):
         import ltensor.linalg as linalg
@@ -492,8 +506,8 @@ class TestSvtGram:
     @pytest.mark.parametrize("spectrum", ["random", "rank3", "clustered", "graded"])
     def test_matches_the_svd_prox(self, rng, kind, shape, spectrum, svd_calls):
         # Grams of order 26, so the guard at 1e-6 fmax decides inside _gram_pairs
-        # between its own routine (no thin SVD; none at all when the Gershgorin
-        # screen clears every slice) and the caller's one thin slice SVD
+        # between its own routine (eigh only, so no np.linalg.svd call) and the
+        # caller's one thin slice SVD
         k = min(shape[:2])
         a = {
             "random": lambda: rng.standard_normal(shape),
@@ -506,8 +520,7 @@ class TestSvtGram:
         for ratio, gram in [(0.99e-6, False), (1.01e-6, True), (1e-4, True), (0.05, True), (0.3, True), (0.999, True)]:
             svd_calls.clear()
             out = svt(a, ratio * fmax, spec)
-            hermitian = [c.get("hermitian", False) for c in svd_calls]
-            assert all(hermitian) if gram else hermitian == [False]
+            assert svd_calls == ([] if gram else [{"full_matrices": False}])
             assert fro_norm(out - _svd_prox(a, ratio * fmax, spec)) <= 1e-12 * fro_norm(a)
 
     @pytest.mark.parametrize("shape", [(5, 3, 4), (3, 5, 4)], ids=["tall", "wide"])
@@ -591,20 +604,6 @@ def _with_l_spectrum(rng, kind, shape, svals, complex_input):
     return apply_l_inv(from_rep_stack(stack, shape[2:]), spec, assume_real=not complex_input), spec
 
 
-@pytest.fixture
-def hermitian_shapes(monkeypatch):
-    """The shape of every stack that np.linalg.svd factors with hermitian=True."""
-    shapes, svd = [], np.linalg.svd
-
-    def recording(x, **kwargs):
-        if kwargs.get("hermitian"):
-            shapes.append(x.shape)
-        return svd(x, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return shapes
-
-
 class TestSvtBlock:
     """svt's certified block prox, on Grams of order >= 4 * _BLOCK; tau is 1."""
 
@@ -627,12 +626,12 @@ class TestSvtBlock:
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("spectrum", SPECTRA, ids=str)
-    def test_matches_the_svd_prox(self, rng, kind, shape, complex_input, spectrum, hermitian_shapes):
+    def test_matches_the_svd_prox(self, rng, kind, shape, complex_input, spectrum, eigh_shapes):
         a, spec = _with_l_spectrum(rng, kind, shape, np.asarray(self.SPECTRA[spectrum]), complex_input)
         out = svt(a, 1.0, spec)
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
         # one Rayleigh-Ritz per check, then the Gram's factorization on a fallback
-        blocks, last = hermitian_shapes[:-1], hermitian_shapes[-1]
+        blocks, last = eigh_shapes[:-1], eigh_shapes[-1]
         assert set(blocks) <= {(4, self.R, self.R)}
         assert last == ((4, 26, 26) if spectrum == "full_rank" else (4, self.R, self.R))
         if spectrum in ("rank2", "all_below"):  # certified, or proved zero, at the first check
@@ -640,7 +639,7 @@ class TestSvtBlock:
         if spectrum == "all_below":
             assert not out.any()
 
-    def test_a_value_the_block_cannot_see_fails_the_certificate(self, rng, hermitian_shapes):
+    def test_a_value_the_block_cannot_see_fails_the_certificate(self, rng, eigh_shapes):
         # svt's block starts from orth(H Omega).  A right singular vector orthogonal
         # to Omega hides sigma = 1.2 > tau from it: over a floor of 0.5 it takes ~20
         # steps to surface, while the pair at 5 passes its residual test in ~6, so
@@ -657,9 +656,9 @@ class TestSvtBlock:
         a = apply_l_inv(from_rep_stack(np.array(stack), (2, 2)), spec, assume_real=True)
         out = svt(a, 1.0, spec)
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
-        assert hermitian_shapes[-1] == (4, 26, 26)
+        assert eigh_shapes[-1] == (4, 26, 26)
 
-    def test_a_failed_certificate_takes_the_gram_factorization(self, rng, hermitian_shapes, monkeypatch):
+    def test_a_failed_certificate_takes_the_gram_factorization(self, rng, eigh_shapes, monkeypatch):
         def refuse(x):
             raise np.linalg.LinAlgError("not positive definite")
 
@@ -667,61 +666,55 @@ class TestSvtBlock:
         a, spec = _with_l_spectrum(rng, "fft", (26, 30, 2, 2), np.array([5.0, 2.0]), True)
         out = svt(a, 1.0, spec)
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
-        assert hermitian_shapes[-1] == (4, 26, 26)
+        assert eigh_shapes[-1] == (4, 26, 26)
 
     @staticmethod
-    def _record(monkeypatch, refuse_first_cholesky=False):
-        """Every np.linalg.qr, hermitian svd and cholesky call, in order, as (name, stack shape)."""
+    def _record(monkeypatch, eigh_shapes, refuse_first_cholesky=False):
+        """Every np.linalg.qr and cholesky call, in order, as (name, stack shape, eigh calls before it)."""
         calls = []
-        qr, svd, cholesky = np.linalg.qr, np.linalg.svd, np.linalg.cholesky
+        qr, cholesky = np.linalg.qr, np.linalg.cholesky
 
         def recording_qr(x, *args, **kwargs):
-            calls.append(("qr", x.shape))
+            calls.append(("qr", x.shape, len(eigh_shapes)))
             return qr(x, *args, **kwargs)
 
-        def recording_svd(x, **kwargs):
-            if kwargs.get("hermitian"):
-                calls.append(("svd", x.shape))
-            return svd(x, **kwargs)
-
         def recording_cholesky(x):
-            calls.append(("cholesky", x.shape))
-            if refuse_first_cholesky and [name for name, _ in calls].count("cholesky") == 1:
+            calls.append(("cholesky", x.shape, len(eigh_shapes)))
+            if refuse_first_cholesky and [name for name, *_ in calls].count("cholesky") == 1:
                 raise np.linalg.LinAlgError("not positive definite")
             return cholesky(x)
 
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
         return calls
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_a_refused_batch_certificate_is_retried_slice_by_slice(self, rng, kind, monkeypatch):
+    def test_a_refused_batch_certificate_is_retried_slice_by_slice(self, rng, kind, monkeypatch, eigh_shapes):
         # every slice converges at the same check.  The batched certificate with
         # sigma_1's pair kept is refused; each slice's own then passes, so all four
         # are certified at that check and none reaches the Gram factorization
         a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), self.SLOW, False)
-        calls = self._record(monkeypatch, refuse_first_cholesky=True)
+        calls = self._record(monkeypatch, eigh_shapes, refuse_first_cholesky=True)
         out = svt(a, 1.0, spec)
-        assert [shape for name, shape in calls if name == "cholesky"] == [(4, 26, 26)] + [(26, 26)] * 4
-        assert ("svd", (4, 26, 26)) not in calls
+        assert [shape for name, shape, _ in calls if name == "cholesky"] == [(4, 26, 26)] + [(26, 26)] * 4
+        assert (4, 26, 26) not in eigh_shapes
         monkeypatch.undo()
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_each_slice_is_certified_on_its_own(self, rng, kind, monkeypatch):
+    def test_each_slice_is_certified_on_its_own(self, rng, kind, monkeypatch, eigh_shapes):
         # the far slices pass the screen; the rank-2 slice is certified alone at the
         # first check, the SLOW one alone at a later check
         far = np.full(26, 0.01)
         a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), [far, np.array([5.0, 2.0]), self.SLOW, far], False)
-        calls = self._record(monkeypatch)
+        calls = self._record(monkeypatch, eigh_shapes)
         out = svt(a, 1.0, spec)
-        assert [shape[0] for name, shape in calls if name == "cholesky"] == [1, 1]
+        assert [shape[0] for name, shape, _ in calls if name == "cholesky"] == [1, 1]
         monkeypatch.undo()
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_a_slice_its_certificate_refuses_steps_on_alone(self, rng, kind, monkeypatch, hermitian_shapes):
+    def test_a_slice_its_certificate_refuses_steps_on_alone(self, rng, kind, monkeypatch, eigh_shapes):
         # every slice converges at the first check.  The batched certificate is refused,
         # so each slice is factored alone, and slice 1's own is refused too: the other
         # three are certified there, and only slice 1 steps on to the next check
@@ -737,27 +730,26 @@ class TestSvtBlock:
         monkeypatch.setattr(np.linalg, "cholesky", refusing)
         out = svt(a, 1.0, spec)
         assert shapes == [(4, 26, 26)] + [(26, 26)] * 4 + [(1, 26, 26)]
-        assert hermitian_shapes == [(4, self.R, self.R), (1, self.R, self.R)]
+        assert eigh_shapes == [(4, self.R, self.R), (1, self.R, self.R)]
         monkeypatch.undo()
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_rayleigh_ritz_runs_at_a_fixed_stride(self, rng, kind, monkeypatch):
+    def test_rayleigh_ritz_runs_at_a_fixed_stride(self, rng, kind, monkeypatch, eigh_shapes):
         # one QR starts the block and one ends each step, so a check after steps
         # 1, 1 + CHECK, 1 + 2 CHECK, ... follows 1, then CHECK, QRs each
         a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), self.SLOW, False)
-        calls = self._record(monkeypatch)
+        calls = self._record(monkeypatch, eigh_shapes)
         out = svt(a, 1.0, spec)
-        names = [name for name, _ in calls]
-        checks = [i for i, name in enumerate(names) if name == "svd"]
-        qrs_before = [names[:i].count("qr") for i in checks]
-        assert len(checks) >= 3 and all(calls[i] == ("svd", (4, self.R, self.R)) for i in checks)
-        assert np.diff(qrs_before, prepend=0).tolist() == [1] + [self.CHECK] * (len(checks) - 1)
+        checks_before_qr = [before for name, _, before in calls if name == "qr"]
+        qrs_before = [sum(before <= i for before in checks_before_qr) for i in range(len(eigh_shapes))]
+        assert len(eigh_shapes) >= 3 and set(eigh_shapes) == {(4, self.R, self.R)}
+        assert np.diff(qrs_before, prepend=0).tolist() == [1] + [self.CHECK] * (len(eigh_shapes) - 1)
         monkeypatch.undo()
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_screened_and_retired_slices_leave_the_ritz_stack(self, rng, kind, hermitian_shapes):
+    def test_screened_and_retired_slices_leave_the_ritz_stack(self, rng, kind, eigh_shapes):
         # the two slices far below tau pass the Gershgorin screen and never enter the
         # block; the rank-2 slice is certified at the first check, the graded one steps on
         far = np.full(26, 0.01)
@@ -765,13 +757,13 @@ class TestSvtBlock:
         a, spec = _with_l_spectrum(rng, kind, (26, 30, 2, 2), spectra, False)
         out = svt(a, 1.0, spec)
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
-        assert hermitian_shapes[0] == (2, self.R, self.R)
-        assert (1, self.R, self.R) in hermitian_shapes[1:]
-        assert all(shape[1:] == (self.R, self.R) for shape in hermitian_shapes)  # no Gram factorization
+        assert eigh_shapes[0] == (2, self.R, self.R)
+        assert (1, self.R, self.R) in eigh_shapes[1:]
+        assert all(shape[1:] == (self.R, self.R) for shape in eigh_shapes)  # no Gram factorization
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     @pytest.mark.parametrize("top", [1.03, 1.1])
-    def test_a_value_the_first_check_underestimates_keeps_its_slice_live(self, rng, kind, top, hermitian_shapes):
+    def test_a_value_the_first_check_underestimates_keeps_its_slice_live(self, rng, kind, top, eigh_shapes):
         # sigma_1 just above tau over a floor at 0.5 tau: every slice's first Ritz value is
         # below tau^2, so nothing is kept and each slice's zero certificate fails.  The
         # slices step on until sigma_1's pair surfaces and passes, with no Gram factorization
@@ -782,18 +774,18 @@ class TestSvtBlock:
         assert np.linalg.eigvalsh(qh_hat @ np.swapaxes(qh_hat, 1, 2).conj()).max() < 1.0
         out = svt(a, 1.0, spec)
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
-        assert hermitian_shapes and all(shape[1:] == (self.R, self.R) for shape in hermitian_shapes)
+        assert eigh_shapes and all(shape[1:] == (self.R, self.R) for shape in eigh_shapes)
 
-    def test_a_stack_under_the_gershgorin_screen_needs_no_factorization(self, rng, hermitian_shapes, monkeypatch):
+    def test_a_stack_under_the_gershgorin_screen_needs_no_factorization(self, rng, eigh_shapes, monkeypatch):
         factored, cholesky = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda x: factored.append(x.shape) or cholesky(x))
         a, spec = _with_l_spectrum(rng, "fft", (26, 30, 2, 2), np.full(26, 0.01), True)
         out = svt(a, 1.0, spec)
-        assert not out.any() and not hermitian_shapes and not factored
+        assert not out.any() and not eigh_shapes and not factored
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_the_benchmark_solve_factors_no_whole_gram(self, kind, hermitian_shapes, monkeypatch):
+    def test_the_benchmark_solve_factors_no_whole_gram(self, kind, eigh_shapes, monkeypatch):
         # bench/'s complete-* workloads: a 72x88x3x20 video with 20% observed by mask
         # seed 1, so 60 slices of 72x88 and Grams of order 72 (~1 s dct, ~2 s fft)
         m = synthetic_video((72, 88, 3, 20))
@@ -805,12 +797,12 @@ class TestSvtBlock:
 
         monkeypatch.setattr(ltensor.completion, "svt", keep_latest)
         pga_complete(m, sample_mask(m.shape, 0.2, 1), CompletionConfig(spec=make_spec(kind, m.shape), max_iters=300))
-        assert len(hermitian_shapes) > 50 and all(shape[1:] == (self.R, self.R) for shape in hermitian_shapes)
+        assert len(eigh_shapes) > 50 and all(shape[1:] == (self.R, self.R) for shape in eigh_shapes)
         g, tau, spec = latest
         assert fro_norm(svt(g, tau, spec) - _svd_prox(g, tau, spec)) <= 1e-12 * fro_norm(g)
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
-    def test_a_noisy_solve_factors_the_whole_gram_in_some_calls(self, kind, hermitian_shapes, monkeypatch):
+    def test_a_noisy_solve_factors_the_whole_gram_in_some_calls(self, kind, eigh_shapes, monkeypatch):
         # a 30x26x3x6 video plus N(0, 0.05^2) noise: 18 slices with Grams of order 26.  In
         # some calls a slice holds more than R values above tau, or the step cap is
         # reached, and the block gives up; every call must still match the SVD prox (~2 s).
@@ -822,9 +814,9 @@ class TestSvtBlock:
         gram = ({"fft": 12, "dct": 18}[kind], 26, 26)
 
         def checked(g, tau, spec):
-            before = len(hermitian_shapes)
+            before = len(eigh_shapes)
             out = prox(g, tau, spec)
-            whole.append(gram in hermitian_shapes[before:])
+            whole.append(gram in eigh_shapes[before:])
             assert fro_norm(out - _svd_prox(g, tau, spec)) <= 1e-12 * fro_norm(g)
             return out
 
@@ -939,19 +931,19 @@ class TestHalfSpectrum:
     }
 
     @pytest.mark.parametrize("shape, modes, rows", GRAM.values(), ids=GRAM.keys())
-    def test_the_gram_route_takes_only_the_rows_the_inverse_reads(self, rng, shape, modes, rows, hermitian_shapes):
+    def test_the_gram_route_takes_only_the_rows_the_inverse_reads(self, rng, shape, modes, rows, eigh_shapes):
         a = rng.standard_normal(shape)
         fft, dft = _fft_and_dft(shape, modes)
         fmax = _fmax(a, fft)
         # at 0.4 fmax the block is certified; at 0.05 fmax every slice holds more than
         # R values above tau, and the block gives up to the whole Gram of those rows
         for ratio in (0.4, 0.05):
-            hermitian_shapes.clear()
+            eigh_shapes.clear()
             out = svt(a, ratio * fmax, fft)
             if ratio == 0.05:
-                assert hermitian_shapes == [(rows, self.R, self.R), (rows, 26, 26)]
+                assert eigh_shapes == [(rows, self.R, self.R), (rows, 26, 26)]
             else:
-                assert hermitian_shapes and all(s[0] <= rows and s[1] == self.R for s in hermitian_shapes)
+                assert eigh_shapes and all(s[0] <= rows and s[1] == self.R for s in eigh_shapes)
             _real_and_close(out, _svd_prox(a, ratio * fmax, fft))
             _real_and_close(out, svt(a, ratio * fmax, dft))
 

@@ -140,14 +140,20 @@ class TestApplyL:
             with pytest.raises(NumericConsistencyError):
                 apply_l_inv(bad, make_spec(kind, bad.shape), assume_real=True)
 
-    def test_imaginary_residual_error_when_the_norms_overflow(self):
-        # the squares of 1e200 overflowed to inf and the residual was dropped unchecked
-        bad = np.full((2, 2, 3), 1e200 + 1e200j)
+    # the squares of 1e200 overflowed to inf and the residual was dropped unchecked;
+    # at 1.5e308 both norms overflowed, and the refusal read "imaginary residual nan"
+    @pytest.mark.parametrize("kind", ["fft", "dct"])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.full((2, 2, 3), 1e200 * (1 + 1j)), np.full((2, 2, 1), 1.5e308 * (1 + 1j))],
+        ids=["squares-overflow", "norms-overflow"],
+    )
+    def test_imaginary_residual_error_when_the_norms_overflow(self, bad, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericConsistencyError, match="imaginary residual 7.071e-01"):
-                apply_l_inv(bad, make_spec("fft", bad.shape), assume_real=True)
-            assert apply_l_inv(bad.real + 0j, make_spec("fft", bad.shape), assume_real=True).dtype == float
+                apply_l_inv(bad, make_spec(kind, bad.shape), assume_real=True)
+            assert apply_l_inv(bad.real + 0j, make_spec(kind, bad.shape), assume_real=True).dtype == float
 
     @pytest.mark.parametrize("scale", [1.0, 1e-300])
     def test_imaginary_residual_error_when_the_squares_underflow_or_not(self, scale):
