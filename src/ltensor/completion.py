@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import _as_array, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_flag, is_real, same_shape
+from .core import _as_array, _too_large, as_rep_stack, count_tuple, fro_norm, from_rep_stack, is_count, is_flag, is_real, same_shape
 from .errors import ParameterError, ShapeError
 from .linalg import svt
 from .transforms import TransformSpec, check_spec
@@ -85,7 +85,9 @@ def sample_mask(dims, sr: float, seed: int) -> np.ndarray:
     if checked is None or not is_count(seed):
         raise ParameterError(f"seed and dims must be integers >= 0, got seed {seed} and dims {dims}")
     dims = checked
-    total = int(np.prod(dims, dtype=np.int64))
+    if _too_large(dims, 1):
+        raise ParameterError(f"mask dims {dims} are too large for an array")
+    total = math.prod(dims)
     count = int(round(sr * total))
     rng = np.random.default_rng(seed)
     flat = np.zeros(total, dtype=bool)

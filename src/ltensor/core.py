@@ -129,6 +129,11 @@ def count_tuple(dims):
     return tuple(map(int, dims)) if all(map(is_count, dims)) else None
 
 
+def _too_large(dims, itemsize) -> bool:
+    """Whether numpy cannot shape ``dims``: its nonzero dims times ``itemsize`` overflow intp."""
+    return math.prod(d for d in dims if d) * itemsize > np.iinfo(np.intp).max
+
+
 def _check_index(value, high, what="mode") -> None:
     """ModeError unless value is an integer in [1, high]: the one rule for 1-based modes and indices."""
     if not (is_count(value, 1) and value <= high):

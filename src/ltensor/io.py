@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .core import _as_array
+from .core import _as_array, _too_large
 from .errors import FormatError, ParameterError
 
 MAGIC = b"TLT1"
@@ -27,11 +27,6 @@ _DTYPES = {
     2: np.dtype("<c16"),
     3: np.dtype("u1"),
 }
-
-
-def _too_large(dims, itemsize) -> bool:
-    """Whether numpy cannot shape ``dims``: its nonzero dims times ``itemsize`` overflow intp."""
-    return math.prod(d for d in dims if d) * itemsize > np.iinfo(np.intp).max
 
 
 def _dtype_code(x: np.ndarray) -> int:

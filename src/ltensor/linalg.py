@@ -105,8 +105,8 @@ def identity_tensor(n: int, trailing_dims, spec: TransformSpec) -> np.ndarray:
 
 
 def _conj_transpose(stack):
-    """The conjugate transpose of every slice; a view for a real stack."""
-    return np.swapaxes(stack, 1, 2).conj()
+    """The conjugate transpose of every slice (the last two axes) of a stack of any order; a view for a real stack."""
+    return np.swapaxes(stack, -2, -1).conj()
 
 
 def l_transpose(a, spec: TransformSpec) -> np.ndarray:
@@ -346,16 +346,17 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
     Proximal operator of tau * nuclear_norm for unitary-scaled specs.
 
     Each transform-domain slice H (H^H when tall) gives U and sigma with
-    H H^H = U diag(sigma^2) U^H, and the result is
-    U_k diag(max(sigma - tau, 0) / sigma) U_k^H H over the k columns that
-    hold some sigma_p > tau, wherever the routine puts them.  U and sigma come
-    from one of two routines for the whole stack:
+    H H^H = U diag(sigma^2) U^H.  With W = U_k diag(max(sigma - tau, 0) /
+    sigma) over the k columns that hold some sigma_p > tau, wherever the
+    routine puts them, the result is W U_k^H H, or H U_k W^H for a tall H,
+    written over the slices read.  U and sigma come from one of two routines
+    for the whole stack:
 
     - Gram, when G = H H^H has order >= 4 * ``_BLOCK``; :func:`_gram_pairs`
-      sets out its protocol.  Under fft on real input it works on just the
-      rows the half-spectrum inverse reads (the prox of conj(H) is
-      conj(prox(H))), and the result goes back into those rows of the
-      L-domain stack.  It has three outcomes:
+      sets out its protocol.  Under fft on real input it reads and writes
+      just the slices the half-spectrum inverse reads (the prox of conj(H)
+      is conj(prox(H))), through one view of the L-domain block array.  It
+      has three outcomes:
       - zero: a slice that passes the Gershgorin screen, or whose inertia
         certificate with no pair kept succeeds, has no sigma above tau;
       - certified block: every other slice keeps up to ``_BLOCK`` Ritz
@@ -378,25 +379,24 @@ def svt(a, tau: float, spec: TransformSpec) -> np.ndarray:
 
     def shrink(hat):
         tall = hat.shape[1] > hat.shape[2]
-        h = _conj_transpose(hat) if tall else hat
-        gram = h.shape[1] >= 4 * _BLOCK
-        # The Gram route takes only the rows the half-spectrum inverse reads.  The
-        # slice SVD keeps every slice: bench/'s linalg.svd.slices pin counts them
-        # until ROADMAP item 1 re-pins it.
+        gram = min(hat.shape[1:]) >= 4 * _BLOCK
+        # The Gram route reads and writes only the slices the half-spectrum inverse
+        # reads, through one view x of the block array.  The slice SVD keeps every
+        # slice: bench/'s linalg.svd.slices pin counts them until ROADMAP item 1
+        # re-pins it.
         half = _half_spectrum(spec, a.shape, np.isrealobj(a)) if gram else None
-        if half is not None:
-            rows = np.arange(len(hat)).reshape(a.shape[:1:-1])[half].ravel()
-            h = _rows(h, rows)
+        x = hat if half is None else hat.reshape(a.shape[:1:-1] + hat.shape[1:])[half]
+        h = x if half is None else x.reshape((-1,) + hat.shape[1:])  # a copy for strided rows
+        h = _conj_transpose(h) if tall else h
         pairs = _gram_pairs(h, tau) if gram else None
         u, sv = pairs if pairs is not None else np.linalg.svd(h, full_matrices=False)[:2]
         keep = (sv > tau).any(axis=0)  # the columns some slice keeps, in any order
         u, sv = u[:, :, keep], sv[:, keep]
-        scale = np.divide(sv - tau, sv, out=np.zeros_like(sv), where=sv > tau)
-        out = np.matmul(u * scale[:, None, :], np.matmul(_conj_transpose(u), h))
-        out = _conj_transpose(out) if tall else out
-        if len(out) == len(hat):
-            return out
-        hat[rows] = out  # the inverse reads no other row
+        u, sv = u.reshape(x.shape[:-2] + u.shape[1:]), sv.reshape(x.shape[:-2] + sv.shape[1:])
+        w = u * np.divide(sv - tau, sv, out=np.zeros_like(sv), where=sv > tau)[..., None, :]
+        # prox(X) = W U^H X, or X U W^H when tall, where U spans the rows of X
+        left, right = (np.matmul(x, u), _conj_transpose(w)) if tall else (w, np.matmul(_conj_transpose(u), x))
+        np.matmul(left, right, out=x)  # the inverse reads no slice outside x
         return hat
 
     return _slicewise(shrink, spec, a)

@@ -159,6 +159,12 @@ def check_spec(spec, unitary_for: str | None = None) -> TransformSpec:
     return spec
 
 
+def _alpha(scales):
+    """The product of the Gram scales, taken in floats so that it overflows to inf, or None unless it is finite and > 0."""
+    alpha = math.prod(scales, start=1.0)
+    return alpha if 0.0 < alpha < math.inf else None
+
+
 def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     """Build a TransformSpec for tensors of the given shape.
 
@@ -166,8 +172,10 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
     defaults to all trailing modes 3..N; each may appear once.  ``matrices``
     is only for kind ``explicit`` (mode -> invertible matrix); the other kinds
     build their own and reject it.  ``alpha`` is None unless the product of
-    the Gram scales is a finite float > 0 (1.0 with no transformed modes), so
-    a matrix too large or small to square in double precision gives None.
+    the Gram scales (fft's are its mode sizes) is a finite float > 0 (1.0
+    with no transformed modes), so a matrix too large or small to square in
+    double precision, or fft sizes whose product exceeds the float range,
+    give None.
     """
     checked = count_tuple(shape)
     if checked is None or len(checked) < 3:
@@ -192,7 +200,7 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
         raise TransformError(f"matrices are only for kind 'explicit'; {kind!r} takes none")
 
     if kind == "fft":
-        return TransformSpec("fft", modes, sizes, float(np.prod(sizes)))
+        return TransformSpec("fft", modes, sizes, _alpha(sizes))
     if kind in _BUILDERS:
         matrices = {m: _BUILDERS[kind](n) for m, n in zip(modes, sizes)}
     elif not isinstance(matrices, dict):
@@ -223,8 +231,7 @@ def make_spec(kind: str, shape, modes=None, matrices=None) -> TransformSpec:
             s = float(np.trace(gram).real) / n
             if np.linalg.norm(gram - s * np.eye(n)) < _UNITARY_TOL * max(1.0, s):
                 scales.append(s)
-    alpha = float(math.prod(scales)) if len(scales) == len(modes) else math.nan
-    return TransformSpec(kind, modes, sizes, alpha if 0.0 < alpha < math.inf else None, mats, inverses)
+    return TransformSpec(kind, modes, sizes, _alpha(scales) if len(scales) == len(modes) else None, mats, inverses)
 
 
 # The two workspace roles the rep-order copy and the mode products alternate between.

@@ -100,6 +100,13 @@ class TestSampleMask:
         with pytest.raises(ParameterError, match="must be integers >= 0"):
             sample_mask(dims, 0.5, seed)
 
+    @pytest.mark.parametrize("dims", [(2**32, 2**32, 4), (3037000500, 3037000500, 1)], ids=["wraps-to-0", "wraps-negative"])
+    def test_rejects_dims_too_large_for_an_array(self, dims):
+        # an int64 product wrapped to 0 ("cannot reshape array of size 0") and to
+        # a negative count ("negative dimensions")
+        with pytest.raises(ParameterError, match=rf"mask dims \({dims[0]}, .* too large for an array"):
+            sample_mask(dims, 0.5, 1)
+
     def test_accepts_numpy_integers(self):
         mask = sample_mask((np.int64(2), np.int32(2), 3), 0.5, np.int64(1))
         np.testing.assert_array_equal(mask, sample_mask((2, 2, 3), 0.5, 1))

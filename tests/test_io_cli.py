@@ -424,6 +424,15 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tlt"]
 
+    @pytest.mark.parametrize("dims", ["4294967296,4294967296,4", "3037000500,3037000500,1"])
+    def test_mask_dims_too_large_exit_2(self, tmp_path, capsys, monkeypatch, dims):
+        # their int64 product wrapped, and numpy's ValueError printed a traceback with exit 1
+        monkeypatch.chdir(tmp_path)
+        assert main(["mask", "gen", "--dims", dims, "--sr", "0.5", "--seed", "1", "--out", "m.tlt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mask dims") and err.count("\n") == 1 and "too large for an array" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "command, outputs",
         [

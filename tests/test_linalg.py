@@ -13,6 +13,7 @@ from ltensor.core import as_rep_stack, fro_norm, from_rep_stack, rep_matrix
 from ltensor.errors import LTensorError, ParameterError, ShapeError, UnsupportedSpecError
 from ltensor.linalg import (
     LFactors,
+    _conj_transpose,
     identity_tensor,
     is_orthogonal,
     l_product,
@@ -573,6 +574,39 @@ class TestSvtGram:
             with pytest.raises(ParameterError, match="NaN or inf"):
                 svt(a, tau, make_spec("fft", a.shape))
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["fft", "dct"]),
+        st.booleans(),
+        st.sampled_from([(30, 26), (26, 30), (24, 24)]),
+        st.lists(st.integers(1, 5), min_size=1, max_size=2),
+        st.integers(0, 8),
+        st.floats(1e-3, 1.0),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_svd_prox_on_any_gram_route_operand(self, seed, kind, complex_input, slices, trailing, rank, ratio, data):
+        # tall, wide and square slices with Grams of order >= 24; a mode subset
+        # such as (3,) of an order-4 tensor makes fft's half-spectrum rows strided.
+        # rank 0 is Gaussian noise, which mostly gives the block up; a low L-rank
+        # plus noise is mostly certified by it
+        shape = slices + tuple(trailing)
+        modes = data.draw(st.none() | st.sets(st.integers(3, len(shape)), min_size=1).map(sorted), label="modes")
+        spec = make_spec(kind, shape, modes=modes)
+        r = np.random.default_rng(seed)
+
+        def draw(dims):
+            return r.standard_normal(dims) + (1j * r.standard_normal(dims) if complex_input else 0.0)
+
+        a = draw(shape)
+        if rank:
+            a = l_product(draw((shape[0], rank) + shape[2:]), draw((rank, shape[1]) + shape[2:]), spec) + 1e-3 * a
+        before = a.copy()
+        tau = ratio * _fmax(a, spec)
+        out = svt(a, tau, spec)
+        assert np.array_equal(a, before)
+        assert fro_norm(out - _svd_prox(a, tau, spec)) <= 1e-12 * fro_norm(a)
+
     @pytest.mark.parametrize("kind", ["fft", "dct"])
     def test_one_svd_call_per_svt(self, rng, kind, svd_calls):
         # a Gram of order 6 < 4 * _BLOCK: one thin slice SVD at every tau, no Gram
@@ -620,6 +654,7 @@ class TestSvtBlock:
         "graded": np.logspace(1, -8, 26),  # 10, 4.4, 1.9, 0.83, ...
         "all_below": np.linspace(0.99, 0.01, 26),
         "full_rank": np.linspace(3.0, 0.5, 26),  # 20 values above tau: more than the block holds
+        "full_rank_below_2tau": np.linspace(1.9, 0.5, 26),  # 16 values above tau, none above 2 tau
     }
 
     @pytest.mark.parametrize("kind", ["fft", "dct"])
@@ -632,8 +667,11 @@ class TestSvtBlock:
         assert fro_norm(out - _svd_prox(a, 1.0, spec)) <= 1e-12 * fro_norm(a)
         # one Rayleigh-Ritz per check, then the Gram's factorization on a fallback
         blocks, last = eigh_shapes[:-1], eigh_shapes[-1]
+        gives_up = spectrum.startswith("full_rank")
         assert set(blocks) <= {(4, self.R, self.R)}
-        assert last == ((4, 26, 26) if spectrum == "full_rank" else (4, self.R, self.R))
+        assert last == ((4, 26, 26) if gives_up else (4, self.R, self.R))
+        if gives_up:  # the r-th Ritz value exceeds tau^2 at the first check
+            assert blocks == [(4, self.R, self.R)]
         if spectrum in ("rank2", "all_below"):  # certified, or proved zero, at the first check
             assert not blocks
         if spectrum == "all_below":
@@ -999,13 +1037,13 @@ _ALL_OP_IDS = ["t_svd", "svt", "ranks", "spectral_norm", "nuclear_norm",
 
 class TestConjTranspose:
     def test_real_stacks_give_a_view_and_complex_ones_the_conjugate(self, rng):
-        from ltensor.linalg import _conj_transpose
-
-        real = rng.standard_normal((3, 2, 4))
-        assert np.shares_memory(_conj_transpose(real), real)
-        np.testing.assert_array_equal(_conj_transpose(real), real.transpose(0, 2, 1))
-        cplx = real + 1j * rng.standard_normal(real.shape)
-        np.testing.assert_array_equal(_conj_transpose(cplx), np.conj(cplx.transpose(0, 2, 1)))
+        # svt's half-spectrum view keeps the block's trailing axes, (I_4, k_3, I_1, I_2) on order 4
+        for shape, axes in [((3, 2, 4), (0, 2, 1)), ((2, 3, 5, 4), (0, 1, 3, 2))]:
+            real = rng.standard_normal(shape)
+            assert np.shares_memory(_conj_transpose(real), real)
+            np.testing.assert_array_equal(_conj_transpose(real), real.transpose(axes))
+            cplx = real + 1j * rng.standard_normal(real.shape)
+            np.testing.assert_array_equal(_conj_transpose(cplx), np.conj(cplx.transpose(axes)))
 
 
 class TestNonFinite:

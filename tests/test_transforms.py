@@ -402,6 +402,14 @@ class TestSpecConstruction:
         assert make_spec("fft", (2, 2, 3, 4)).alpha == 12.0
         assert make_spec("dct", (2, 2, 3, 4)).alpha == 1.0
 
+    def test_fft_alpha_is_a_float_product(self):
+        # an int64 product of the sizes wrapped to 0, so alpha read 0.0 and
+        # unitary_scaled True for both shapes
+        spec = make_spec("fft", (2, 2, 2**32, 2**32))
+        assert spec.alpha == 2.0**64 and spec.unitary_scaled
+        spec = make_spec("fft", (2, 2) + (2**62,) * 17)  # 2^1054 overflows a float
+        assert spec.alpha is None and not spec.unitary_scaled
+
     def test_explicit_spec_detects_unitary_scaling(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         spec = make_spec("explicit", (2, 2, 3), matrices={3: 2.0 * q})
